@@ -41,8 +41,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently admitted requests (<= 0: 2 x GOMAXPROCS)")
 	queueWait := flag.Duration("queue-wait", time.Second, "max wait for an admission slot before 429")
 	cacheSize := flag.Int("cache", 1024, "analyze result cache entries")
-	topoCache := flag.Int("topo-cache", 0, "frozen mesh-topology cache entries (<= 0: design cache size)")
-	warmStart := flag.Bool("warm-start", false, "seed solves with the last solution for the same topology (faster sweeps; results converge to tolerance instead of being byte-identical)")
+	warmStart := flag.Bool("warm-start", false, "seed solves with the last solution for the same design (faster sweeps; results converge to tolerance instead of being byte-identical)")
 	maxBatch := flag.Int("max-batch", 256, "max queries per /v1/batch request")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight work on shutdown")
 	logFormat := flag.String("log-format", obs.LogText, "log output format: text or json")
@@ -73,7 +72,6 @@ func main() {
 		MaxInFlight:         *maxInflight,
 		QueueWait:           *queueWait,
 		CacheSize:           *cacheSize,
-		TopoCacheSize:       *topoCache,
 		WarmStart:           *warmStart,
 		MaxBatch:            *maxBatch,
 		TraceBufSize:        *traceBuf,

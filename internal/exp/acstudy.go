@@ -75,7 +75,7 @@ func (r *Runner) ACStudy() (*report.Table, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		dc, err := a.AnalyzeCounts([]int{0, 0, 0, 2}, 1.0)
+		dc, err := r.countsResult(a, []int{0, 0, 0, 2}, 1.0)
 		if err != nil {
 			return outcome{}, err
 		}

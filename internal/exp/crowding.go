@@ -31,7 +31,7 @@ func (r *Runner) CrowdingStudy() (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := a.AnalyzeCounts(b.DefaultCounts, b.DefaultIO)
+		res, err := r.countsResult(a, b.DefaultCounts, b.DefaultIO)
 		if err != nil {
 			return nil, err
 		}

@@ -43,18 +43,25 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// Runner executes experiments, caching mesh topologies, analyzers, and
-// look-up tables across experiments that share a design. It is safe for
-// concurrent use: cache misses on the same design are deduplicated so each
-// topology, analyzer, and table is built exactly once. Analyzers are built
-// over the shared topology cache, so a value-only sweep (metal-usage
-// studies, co-optimization candidates) freezes the mesh shape once and
-// restamps conductances per design point.
+// Runner executes experiments, memoizing the work that experiments
+// sharing a design repeat. It is safe for concurrent use: each memo is a
+// par.Group, so concurrent misses on one key are deduplicated and every
+// entry is built exactly once. The memos, all unbounded for the life of
+// the Runner (DESIGN.md "Cache structure" lists what each one saves):
+//
+//   - topos: frozen mesh topologies by speckey.Topology. The first design
+//     of a shape keeps the model of its full build; a value-only variant
+//     (the metal-usage study) restamps conductances over the frozen shape.
+//   - analyzers: one analyzer (matrix plus solver setup) per design.
+//   - results: analysis results by (design, state, io), reported under
+//     "irdrop.result_cache.*". Look-up-table builds go through it too.
+//   - luts: look-up tables per design.
 type Runner struct {
 	Cfg Config
 
 	topos     par.Group[*rmesh.Topology]
 	analyzers par.Group[*irdrop.Analyzer]
+	results   par.Group[*irdrop.Result]
 	luts      par.Group[*lut.Table]
 	sweeps    *obs.SweepMetrics
 }
@@ -68,6 +75,8 @@ func NewRunner(cfg Config) *Runner {
 	r.topos.Misses = reg.Counter("exp.topo_cache.misses")
 	r.analyzers.Hits = reg.Counter("exp.analyzer_cache.hits")
 	r.analyzers.Misses = reg.Counter("exp.analyzer_cache.misses")
+	r.results.Hits = reg.Counter("irdrop.result_cache.hits")
+	r.results.Misses = reg.Counter("irdrop.result_cache.misses")
 	r.luts.Hits = reg.Counter("exp.lut_cache.hits")
 	r.luts.Misses = reg.Counter("exp.lut_cache.misses")
 	return r
@@ -148,58 +157,101 @@ func (r *Runner) prepare(spec *pdn.Spec) *pdn.Spec {
 	return s
 }
 
-// specKey fingerprints a design for the analyzer/LUT caches. The
+// specKey fingerprints a design for the runner's memos. The
 // implementation lives in internal/speckey so the serving layer's result
 // cache shares the exact same key contract.
 func specKey(s *pdn.Spec, withLogic bool) string {
 	return speckey.Spec(s, withLogic)
 }
 
-// topology returns the cached frozen mesh topology for the prepared spec,
-// building it exactly once even under concurrent misses. Specs differing
-// only in metal-usage magnitudes share one entry.
-func (r *Runner) topology(spec *pdn.Spec) (*rmesh.Topology, error) {
-	return r.topos.Do(speckey.Topology(spec), func() (*rmesh.Topology, error) {
-		return rmesh.BuildTopologyObs(spec, r.Cfg.Obs)
-	})
-}
-
-// analyzer returns a cached analyzer for the prepared spec, building it
-// exactly once even under concurrent misses. The mesh is restamped over
-// the shared topology cache — bit-identical to a full build, but value
-// sweeps over one design shape skip the geometry and symbolic work.
+// analyzer returns the memoized analyzer for the prepared spec, building
+// it exactly once even under concurrent misses. The first design of a
+// mesh shape keeps the model of its full build and publishes the frozen
+// topology; later designs of that shape restamp their conductances over
+// it — bit-identical to a full build, minus the geometry and symbolic
+// work.
 func (r *Runner) analyzer(spec *pdn.Spec, dram *powermap.DRAMModel, logic *powermap.LogicModel) (*irdrop.Analyzer, error) {
-	return r.analyzers.Do(specKey(spec, logic != nil), func() (*irdrop.Analyzer, error) {
-		t, err := r.topology(spec)
+	a, _, err := r.analyzers.Do(specKey(spec, logic != nil), func() (*irdrop.Analyzer, error) {
+		var a *irdrop.Analyzer
+		t, how, err := r.topos.Do(speckey.Topology(spec), func() (*rmesh.Topology, error) {
+			built, err := irdrop.NewObs(spec, dram, logic, r.Cfg.Obs)
+			if err != nil {
+				return nil, err
+			}
+			a = built
+			return built.Model.Topology(), nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		a, err := irdrop.NewFromTopologyObs(t, spec, dram, logic, r.Cfg.Obs)
-		if err != nil {
-			return nil, err
+		if how != par.Ran {
+			if a, err = irdrop.NewFromTopologyObs(t, spec, dram, logic, r.Cfg.Obs); err != nil {
+				return nil, err
+			}
 		}
 		a.Opts.Method = r.Cfg.Solver
 		a.Opts.Workers = r.Cfg.Workers
 		return a, nil
 	})
+	return a, err
 }
 
-// lutFor returns a cached IR-drop look-up table for the prepared spec,
-// building it exactly once even under concurrent misses.
+// result returns the memoized analysis of state at io on a, solving it
+// exactly once per (design, state, io) even under concurrent misses.
+func (r *Runner) result(a *irdrop.Analyzer, state memstate.State, io float64) (*irdrop.Result, error) {
+	var kb speckey.Builder
+	kb.Str(specKey(a.Spec(), a.LogicPower != nil))
+	kb.Str(state.Key())
+	kb.Float(io)
+	res, _, err := r.results.Do(kb.String(), func() (*irdrop.Result, error) {
+		return a.Analyze(state, io)
+	})
+	return res, err
+}
+
+// countsResult is result for a bare per-die count vector at the paper's
+// worst-case edge placement (§5.1).
+func (r *Runner) countsResult(a *irdrop.Analyzer, counts []int, io float64) (*irdrop.Result, error) {
+	st, err := memstate.FromCounts(counts, memstate.WorstCaseEdge(a.Spec().DRAM.NumBanks))
+	if err != nil {
+		return nil, err
+	}
+	return r.result(a, st, io)
+}
+
+// analyze returns the memoized analysis of state at io on the prepared
+// spec's analyzer.
+func (r *Runner) analyze(spec *pdn.Spec, dram *powermap.DRAMModel, logic *powermap.LogicModel, state memstate.State, io float64) (*irdrop.Result, error) {
+	a, err := r.analyzer(spec, dram, logic)
+	if err != nil {
+		return nil, err
+	}
+	return r.result(a, state, io)
+}
+
+// analyzeCounts is analyze for a count state at the worst-case edge
+// placement.
+func (r *Runner) analyzeCounts(spec *pdn.Spec, dram *powermap.DRAMModel, logic *powermap.LogicModel, counts []int, io float64) (*irdrop.Result, error) {
+	a, err := r.analyzer(spec, dram, logic)
+	if err != nil {
+		return nil, err
+	}
+	return r.countsResult(a, counts, io)
+}
+
+// lutFor returns the memoized IR-drop look-up table for the prepared
+// spec, building it exactly once even under concurrent misses. Its grid
+// points go through the result memo.
 func (r *Runner) lutFor(spec *pdn.Spec, dram *powermap.DRAMModel, logic *powermap.LogicModel) (*lut.Table, error) {
-	return r.luts.Do(specKey(spec, logic != nil), func() (*lut.Table, error) {
+	t, _, err := r.luts.Do(specKey(spec, logic != nil), func() (*lut.Table, error) {
 		a, err := r.analyzer(spec, dram, logic)
 		if err != nil {
 			return nil, err
 		}
-		return lut.BuildWith(a, memstate.MaxInterleavedBanks, lut.DefaultIOLevels(), r.Cfg.Workers)
+		analyze := func(counts []int, io float64) (*irdrop.Result, error) { return r.countsResult(a, counts, io) }
+		return lut.BuildWith(analyze, spec.NumDRAM, memstate.MaxInterleavedBanks, lut.DefaultIOLevels(), r.Cfg.Workers)
 	})
-}
-
-// analyzeCounts is a convenience wrapper: analyze a count state at the
-// paper's default worst-case placement.
-func analyzeCounts(a *irdrop.Analyzer, counts []int, io float64) (*irdrop.Result, error) {
-	return a.AnalyzeCounts(counts, io)
+	return t, err
 }
 
 // policyRun simulates one (policy, scheduler) pair on a fresh workload.

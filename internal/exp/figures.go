@@ -67,11 +67,7 @@ func (r *Runner) Figure5() (*report.Series, error) {
 
 		offSpec := r.prepare(off.Spec)
 		offSpec.TSVCount = tc
-		aOff, err := r.analyzer(offSpec, off.DRAMPower, nil)
-		if err != nil {
-			return out, err
-		}
-		rOff, err := aOff.AnalyzeCounts(off.DefaultCounts, off.DefaultIO)
+		rOff, err := r.analyzeCounts(offSpec, off.DRAMPower, nil, off.DefaultCounts, off.DefaultIO)
 		if err != nil {
 			return out, err
 		}
@@ -82,11 +78,7 @@ func (r *Runner) Figure5() (*report.Series, error) {
 			onSpec.DedicatedTSV = false
 			onSpec.TSVCount = tc
 			onSpec.AlignTSV = aligned
-			a, err := r.analyzer(onSpec, on.DRAMPower, on.LogicPower)
-			if err != nil {
-				return out, err
-			}
-			res, err := a.AnalyzeCounts(on.DefaultCounts, on.DefaultIO)
+			res, err := r.analyzeCounts(onSpec, on.DRAMPower, on.LogicPower, on.DefaultCounts, on.DefaultIO)
 			if err != nil {
 				return out, err
 			}
@@ -171,11 +163,7 @@ func (r *Runner) Table7() (*report.Table, error) {
 		if !spec.OnLogic {
 			logic = nil
 		}
-		a, err := r.analyzer(spec, b.DRAMPower, logic)
-		if err != nil {
-			return 0, err
-		}
-		res, err := a.AnalyzeCounts(b.DefaultCounts, b.DefaultIO)
+		res, err := r.analyzeCounts(spec, b.DRAMPower, logic, b.DefaultCounts, b.DefaultIO)
 		if err != nil {
 			return 0, err
 		}

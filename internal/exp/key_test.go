@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"pdn3d/internal/bench3d"
+	"pdn3d/internal/irdrop"
+	"pdn3d/internal/obs"
 	"pdn3d/internal/pdn"
 )
 
@@ -81,7 +83,8 @@ func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunner(Config{MeshPitch: 0.5})
+	reg := obs.NewRegistry()
+	r := NewRunner(Config{MeshPitch: 0.5, Obs: reg})
 	specs := make([]*pdn.Spec, 3)
 	for i, tc := range []int{15, 33, 120} {
 		s := r.prepare(b.Spec)
@@ -89,9 +92,9 @@ func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 		specs[i] = s
 	}
 	const goroutinesPerSpec = 12
-	got := make([][]interface{}, len(specs))
+	got := make([][]*irdrop.Analyzer, len(specs))
 	for i := range got {
-		got[i] = make([]interface{}, goroutinesPerSpec)
+		got[i] = make([]*irdrop.Analyzer, goroutinesPerSpec)
 	}
 	var wg sync.WaitGroup
 	for si, s := range specs {
@@ -104,8 +107,8 @@ func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// Drive a real analysis through the shared analyzer too.
-				if _, err := a.AnalyzeCounts(b.DefaultCounts, b.DefaultIO); err != nil {
+				// Drive a real analysis through the shared memo too.
+				if _, err := r.countsResult(a, b.DefaultCounts, b.DefaultIO); err != nil {
 					t.Error(err)
 					return
 				}
@@ -129,10 +132,103 @@ func TestRunnerConcurrentExactlyOnce(t *testing.T) {
 	}
 	// Each design's (state, io) point must have been solved exactly once in
 	// total, despite 12 concurrent callers.
-	for si := range specs {
-		a := got[si][0].(interface{ Solves() int })
-		if n := a.Solves(); n != 1 {
-			t.Errorf("spec %d: %d solves for one distinct (state, io) key", si, n)
+	if n := reg.Snapshot().Timers["irdrop.analyze_time"].Count; n != int64(len(specs)) {
+		t.Errorf("%d solves for %d distinct (design, state, io) keys", n, len(specs))
+	}
+}
+
+// Hammer the result memo from many goroutines on one design: every
+// distinct (state, io) key must be solved exactly once, and all callers of
+// one key must get the same *Result. Run with -race.
+func TestResultMemoConcurrentExactlyOnce(t *testing.T) {
+	b, err := bench3d.StackedDDR3Off()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	r := NewRunner(Config{MeshPitch: 0.5, Obs: reg})
+	spec := r.prepare(b.Spec)
+	type point struct {
+		counts []int
+		io     float64
+	}
+	points := []point{
+		{[]int{1, 0, 0, 0}, 1.0},
+		{[]int{0, 2, 0, 0}, 1.0},
+		{[]int{0, 0, 0, 2}, 0.5},
+		{[]int{1, 1, 1, 1}, 1.0},
+		{[]int{0, 0, 0, 0}, 0.0},
+	}
+	const goroutinesPerPoint = 16
+	results := make([][]*irdrop.Result, len(points))
+	for i := range results {
+		results[i] = make([]*irdrop.Result, goroutinesPerPoint)
+	}
+	var wg sync.WaitGroup
+	for pi, p := range points {
+		for g := 0; g < goroutinesPerPoint; g++ {
+			wg.Add(1)
+			go func(pi, g int, p point) {
+				defer wg.Done()
+				res, err := r.analyzeCounts(spec, b.DRAMPower, nil, p.counts, p.io)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[pi][g] = res
+			}(pi, g, p)
 		}
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for pi := range results {
+		for g := 1; g < goroutinesPerPoint; g++ {
+			if results[pi][g] != results[pi][0] {
+				t.Errorf("point %d: goroutine %d got a different *Result — key solved more than once", pi, g)
+			}
+		}
+	}
+	if n := reg.Snapshot().Timers["irdrop.analyze_time"].Count; n != int64(len(points)) {
+		t.Errorf("%d solves for %d distinct keys; want exactly one each", n, len(points))
+	}
+}
+
+// The result memo keys on the full (design, state, io) triple: a repeat
+// is a hit, while a different io or a different design solves anew.
+func TestResultMemoCaching(t *testing.T) {
+	b, err := bench3d.StackedDDR3Off()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(Config{MeshPitch: 0.5})
+	spec := r.prepare(b.Spec)
+	r1, err := r.analyzeCounts(spec, b.DRAMPower, nil, []int{0, 0, 0, 2}, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := r.analyzeCounts(spec, b.DRAMPower, nil, []int{0, 0, 0, 2}, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1 != r2 {
+		t.Error("identical queries must hit the memo (same pointer)")
+	}
+	r3, err := r.analyzeCounts(spec, b.DRAMPower, nil, []int{0, 0, 0, 2}, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r3 == r1 {
+		t.Error("different IO must not hit the memo")
+	}
+	other := spec.Clone()
+	other.TSVCount = 120
+	r4, err := r.analyzeCounts(other, b.DRAMPower, nil, []int{0, 0, 0, 2}, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r4 == r1 {
+		t.Error("a different design must not hit the memo")
 	}
 }

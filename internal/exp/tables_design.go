@@ -55,11 +55,7 @@ func (r *Runner) MetalUsageStudy() (*report.Table, error) {
 	}
 	specs := []*pdn.Spec{base, dbl}
 	results, err := sweep(r, len(specs), func(i int) (*irdrop.Result, error) {
-		a, err := r.analyzer(specs[i], b.DRAMPower, nil)
-		if err != nil {
-			return nil, err
-		}
-		return a.AnalyzeCounts(b.DefaultCounts, b.DefaultIO)
+		return r.analyzeCounts(specs[i], b.DRAMPower, nil, b.DefaultCounts, b.DefaultIO)
 	})
 	if err != nil {
 		return nil, err
@@ -93,19 +89,11 @@ func (r *Runner) MountingStudy() (*report.Table, error) {
 	onSpec := r.prepare(on.Spec)
 	onSpec.DedicatedTSV = false
 
-	aOff, err := r.analyzer(r.prepare(off.Spec), off.DRAMPower, nil)
+	rOff, err := r.analyzeCounts(r.prepare(off.Spec), off.DRAMPower, nil, off.DefaultCounts, off.DefaultIO)
 	if err != nil {
 		return nil, err
 	}
-	rOff, err := aOff.AnalyzeCounts(off.DefaultCounts, off.DefaultIO)
-	if err != nil {
-		return nil, err
-	}
-	aOn, err := r.analyzer(onSpec, on.DRAMPower, on.LogicPower)
-	if err != nil {
-		return nil, err
-	}
-	rOn, err := aOn.AnalyzeCounts(on.DefaultCounts, on.DefaultIO)
+	rOn, err := r.analyzeCounts(onSpec, on.DRAMPower, on.LogicPower, on.DefaultCounts, on.DefaultIO)
 	if err != nil {
 		return nil, err
 	}
@@ -150,11 +138,7 @@ func (r *Runner) Table2() (*report.Table, error) {
 	rows, err := sweep(r, len(options), func(i int) (row, error) {
 		spec := r.prepare(b.Spec)
 		options[i].mut(spec)
-		a, err := r.analyzer(spec, b.DRAMPower, nil)
-		if err != nil {
-			return row{}, err
-		}
-		res, err := a.AnalyzeCounts(b.DefaultCounts, b.DefaultIO)
+		res, err := r.analyzeCounts(spec, b.DRAMPower, nil, b.DefaultCounts, b.DefaultIO)
 		if err != nil {
 			return row{}, err
 		}
@@ -212,11 +196,7 @@ func (r *Runner) Table3() (*report.Table, error) {
 		}
 		var out [2]float64
 		for j, s := range []*pdn.Spec{spec, wbSpec} {
-			a, err := r.analyzer(s, row.bench.DRAMPower, logic)
-			if err != nil {
-				return out, err
-			}
-			res, err := a.AnalyzeCounts(row.bench.DefaultCounts, row.bench.DefaultIO)
+			res, err := r.analyzeCounts(s, row.bench.DRAMPower, logic, row.bench.DefaultCounts, row.bench.DefaultIO)
 			if err != nil {
 				return out, err
 			}
@@ -271,19 +251,11 @@ func (r *Runner) Table4() (*report.Table, error) {
 		if got := memstate.IntraPairOverlap(c.state); got != (c.overlap == "yes") {
 			return pair{}, fmt.Errorf("exp: case %s overlap classification mismatch", c.name)
 		}
-		aB, err := r.analyzer(f2b, b.DRAMPower, nil)
+		rB, err := r.analyze(f2b, b.DRAMPower, nil, c.state, 0.5)
 		if err != nil {
 			return pair{}, err
 		}
-		rB, err := aB.Analyze(c.state, 0.5)
-		if err != nil {
-			return pair{}, err
-		}
-		aF, err := r.analyzer(f2f, b.DRAMPower, nil)
-		if err != nil {
-			return pair{}, err
-		}
-		rF, err := aF.Analyze(c.state, 0.5)
+		rF, err := r.analyze(f2f, b.DRAMPower, nil, c.state, 0.5)
 		if err != nil {
 			return pair{}, err
 		}
@@ -339,19 +311,11 @@ func (r *Runner) Table5() (*report.Table, error) {
 		if err != nil {
 			return pair{}, err
 		}
-		aB, err := r.analyzer(f2b, b.DRAMPower, nil)
+		rB, err := r.analyze(f2b, b.DRAMPower, nil, st, row.io)
 		if err != nil {
 			return pair{}, err
 		}
-		rB, err := aB.Analyze(st, row.io)
-		if err != nil {
-			return pair{}, err
-		}
-		aF, err := r.analyzer(f2f, b.DRAMPower, nil)
-		if err != nil {
-			return pair{}, err
-		}
-		rF, err := aF.Analyze(st, row.io)
+		rF, err := r.analyze(f2f, b.DRAMPower, nil, st, row.io)
 		if err != nil {
 			return pair{}, err
 		}

@@ -101,17 +101,6 @@ func (f *Floorplan) BankArrayRect(b int) (geom.Rect, error) {
 	return geom.Rect{}, fmt.Errorf("floorplan %s: no bank array for bank %d", f.Name, b)
 }
 
-// SharedBlocks returns blocks not owned by a specific bank.
-func (f *Floorplan) SharedBlocks() []Block {
-	var out []Block
-	for _, bl := range f.Blocks {
-		if bl.Bank < 0 {
-			out = append(out, bl)
-		}
-	}
-	return out
-}
-
 // KindBlocks returns all blocks of the given kind.
 func (f *Floorplan) KindBlocks(k BlockKind) []Block {
 	var out []Block

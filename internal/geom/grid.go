@@ -37,15 +37,6 @@ func NewGrid(outline Rect, pitch float64) (Grid, error) {
 	return Grid{Outline: outline, Pitch: pitch, NX: nx, NY: ny}, nil
 }
 
-// MustGrid is NewGrid for statically-valid arguments; it panics on error.
-func MustGrid(outline Rect, pitch float64) Grid {
-	g, err := NewGrid(outline, pitch)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // N returns the total node count NX*NY.
 func (g Grid) N() int { return g.NX * g.NY }
 
@@ -112,18 +103,6 @@ func (g Grid) NodesIn(r Rect) []int {
 		for i := i0; i <= i1; i++ {
 			out = append(out, g.Index(i, j))
 		}
-	}
-	return out
-}
-
-// EdgeNodes returns the indices of nodes lying on the grid boundary.
-func (g Grid) EdgeNodes() []int {
-	out := make([]int, 0, 2*g.NX+2*g.NY)
-	for i := 0; i < g.NX; i++ {
-		out = append(out, g.Index(i, 0), g.Index(i, g.NY-1))
-	}
-	for j := 1; j < g.NY-1; j++ {
-		out = append(out, g.Index(0, j), g.Index(g.NX-1, j))
 	}
 	return out
 }

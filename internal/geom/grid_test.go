@@ -6,6 +6,15 @@ import (
 	"testing/quick"
 )
 
+func mustGrid(t *testing.T, outline Rect, pitch float64) Grid {
+	t.Helper()
+	g, err := NewGrid(outline, pitch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestNewGridErrors(t *testing.T) {
 	if _, err := NewGrid(Rect{}, 0.1); err == nil {
 		t.Error("empty outline: want error")
@@ -19,7 +28,7 @@ func TestNewGridErrors(t *testing.T) {
 }
 
 func TestGridDimensions(t *testing.T) {
-	g := MustGrid(R(0, 0, 1.0, 0.5), 0.1)
+	g := mustGrid(t, R(0, 0, 1.0, 0.5), 0.1)
 	if g.NX != 11 || g.NY != 6 {
 		t.Fatalf("NX,NY = %d,%d want 11,6", g.NX, g.NY)
 	}
@@ -33,7 +42,7 @@ func TestGridDimensions(t *testing.T) {
 
 func TestGridNonMultiplePitchClamps(t *testing.T) {
 	// 1.0 mm outline with 0.3 mm pitch: 4 nodes, spacing 1/3.
-	g := MustGrid(R(0, 0, 1, 1), 0.3)
+	g := mustGrid(t, R(0, 0, 1, 1), 0.3)
 	if g.NX != 4 {
 		t.Fatalf("NX = %d want 4", g.NX)
 	}
@@ -44,14 +53,14 @@ func TestGridNonMultiplePitchClamps(t *testing.T) {
 }
 
 func TestGridMinimumTwoNodes(t *testing.T) {
-	g := MustGrid(R(0, 0, 0.01, 0.01), 1.0)
+	g := mustGrid(t, R(0, 0, 0.01, 0.01), 1.0)
 	if g.NX < 2 || g.NY < 2 {
 		t.Errorf("NX,NY = %d,%d; want >= 2 each", g.NX, g.NY)
 	}
 }
 
 func TestGridIndexRoundTrip(t *testing.T) {
-	g := MustGrid(R(0, 0, 1, 1), 0.25)
+	g := mustGrid(t, R(0, 0, 1, 1), 0.25)
 	for j := 0; j < g.NY; j++ {
 		for i := 0; i < g.NX; i++ {
 			ii, jj := g.Coords(g.Index(i, j))
@@ -63,7 +72,7 @@ func TestGridIndexRoundTrip(t *testing.T) {
 }
 
 func TestGridNearest(t *testing.T) {
-	g := MustGrid(R(0, 0, 1, 1), 0.5) // 3x3 nodes
+	g := mustGrid(t, R(0, 0, 1, 1), 0.5) // 3x3 nodes
 	cases := []struct {
 		p    Point
 		i, j int
@@ -85,7 +94,7 @@ func TestGridNearest(t *testing.T) {
 }
 
 func TestGridNodesIn(t *testing.T) {
-	g := MustGrid(R(0, 0, 1, 1), 0.5) // 3x3 nodes at 0, .5, 1
+	g := mustGrid(t, R(0, 0, 1, 1), 0.5) // 3x3 nodes at 0, .5, 1
 	all := g.NodesIn(R(0, 0, 1, 1))
 	if len(all) != 9 {
 		t.Fatalf("full-rect NodesIn = %d nodes, want 9", len(all))
@@ -107,27 +116,8 @@ func TestGridNodesIn(t *testing.T) {
 	}
 }
 
-func TestGridEdgeNodes(t *testing.T) {
-	g := MustGrid(R(0, 0, 1, 1), 0.25) // 5x5
-	edges := g.EdgeNodes()
-	if len(edges) != 16 {
-		t.Fatalf("edge count = %d, want 16", len(edges))
-	}
-	seen := map[int]bool{}
-	for _, idx := range edges {
-		if seen[idx] {
-			t.Fatalf("duplicate edge node %d", idx)
-		}
-		seen[idx] = true
-		i, j := g.Coords(idx)
-		if i != 0 && i != g.NX-1 && j != 0 && j != g.NY-1 {
-			t.Errorf("node (%d,%d) is not on the boundary", i, j)
-		}
-	}
-}
-
 func TestGridNearestInverseOfPos(t *testing.T) {
-	g := MustGrid(R(-1, 2, 3.3, 2.2), 0.2)
+	g := mustGrid(t, R(-1, 2, 3.3, 2.2), 0.2)
 	f := func(iRaw, jRaw uint16) bool {
 		i := int(iRaw) % g.NX
 		j := int(jRaw) % g.NY
@@ -140,7 +130,7 @@ func TestGridNearestInverseOfPos(t *testing.T) {
 }
 
 func TestGridNodesInMatchesBruteForce(t *testing.T) {
-	g := MustGrid(R(0, 0, 2, 1.4), 0.2)
+	g := mustGrid(t, R(0, 0, 2, 1.4), 0.2)
 	f := func(x0, y0, w, h float64) bool {
 		r := R(math.Mod(math.Abs(x0), 2), math.Mod(math.Abs(y0), 1.4),
 			math.Mod(math.Abs(w), 2)+0.05, math.Mod(math.Abs(h), 1.4)+0.05)

@@ -3,22 +3,21 @@
 // system for a memory state, and reports the per-die and stack-wide maximum
 // IR drops that every experiment in the paper is built on.
 //
-// An Analyzer reuses its conductance matrix across memory states (only the
-// right-hand side changes) and memoizes results by state, which is what
-// makes look-up-table generation and design-space sweeps tractable — the
-// same property the paper exploits by replacing EPS extraction with the
-// R-Mesh (§2.2).
+// An Analyzer reuses its conductance matrix and solver setup across memory
+// states (only the right-hand side changes), which is what makes
+// look-up-table generation and design-space sweeps tractable — the same
+// property the paper exploits by replacing EPS extraction with the R-Mesh
+// (§2.2). Result memoization belongs to the callers whose traffic repeats
+// (the experiment runner, the server's result cache).
 package irdrop
 
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 
 	"pdn3d/internal/memstate"
 	"pdn3d/internal/obs"
-	"pdn3d/internal/par"
 	"pdn3d/internal/pdn"
 	"pdn3d/internal/powermap"
 	"pdn3d/internal/rmesh"
@@ -52,9 +51,7 @@ type Analyzer struct {
 	// first Analyze call.
 	SolveRecords *obs.SolveBuffer
 
-	results par.Group[*Result]
-	solves  atomic.Int64
-	obs     *obs.Registry
+	obs *obs.Registry
 }
 
 // WarmStart is a shared warm-start cell: consecutive solves over
@@ -117,9 +114,8 @@ func New(spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *powermap.Log
 }
 
 // NewObs is New with instrumentation: the mesh build, solver setup, and
-// every solve report into reg, and the analyzer's result memoization
-// reports hit/miss counts under "irdrop.result_cache.*". A nil registry
-// disables instrumentation; analysis results are identical either way.
+// every solve report into reg. A nil registry disables instrumentation;
+// analysis results are identical either way.
 func NewObs(spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *powermap.LogicModel, reg *obs.Registry) (*Analyzer, error) {
 	if err := validatePowers(spec, dramPower, logicPower); err != nil {
 		return nil, err
@@ -131,16 +127,12 @@ func NewObs(spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *powermap.
 	return newAnalyzer(m, dramPower, logicPower, reg), nil
 }
 
-// NewFromTopology builds an Analyzer by restamping spec's values over an
-// already-frozen mesh topology, skipping geometry and symbolic work. The
-// restamped matrix is bit-identical to a full build's, so analysis
-// results are too. spec must share t's topology key.
-func NewFromTopology(t *rmesh.Topology, spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *powermap.LogicModel) (*Analyzer, error) {
-	return NewFromTopologyObs(t, spec, dramPower, logicPower, nil)
-}
-
-// NewFromTopologyObs is NewFromTopology with instrumentation (see NewObs);
-// the mesh reports under "rmesh.restamps" instead of "rmesh.builds".
+// NewFromTopologyObs builds an Analyzer by restamping spec's values over
+// an already-frozen mesh topology, skipping geometry and symbolic work.
+// The restamped matrix is bit-identical to a full build's, so analysis
+// results are too. spec must share t's topology key. Instrumentation is
+// as in NewObs, except that the mesh reports under "rmesh.restamps"
+// instead of "rmesh.builds".
 func NewFromTopologyObs(t *rmesh.Topology, spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *powermap.LogicModel, reg *obs.Registry) (*Analyzer, error) {
 	if err := validatePowers(spec, dramPower, logicPower); err != nil {
 		return nil, err
@@ -168,139 +160,37 @@ func validatePowers(spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *p
 }
 
 func newAnalyzer(m *rmesh.Model, dramPower *powermap.DRAMModel, logicPower *powermap.LogicModel, reg *obs.Registry) *Analyzer {
-	a := &Analyzer{
+	return &Analyzer{
 		Model:      m,
 		DRAMPower:  dramPower,
 		LogicPower: logicPower,
 		Opts:       solve.Options{CGOptions: solve.CGOptions{Tol: 1e-8, MaxIter: 60000}, Obs: reg},
 		obs:        reg,
 	}
-	a.results.Hits = reg.Counter("irdrop.result_cache.hits")
-	a.results.Misses = reg.Counter("irdrop.result_cache.misses")
-	return a
 }
 
 // Spec returns the analyzed design.
 func (a *Analyzer) Spec() *pdn.Spec { return a.Model.Spec }
 
-// Analyze solves the design under the given memory state and I/O activity.
-// Results are memoized by (state, io). Analyze is safe for concurrent use:
-// the conductance matrix is immutable after Build, each solve works on its
-// own vectors, and concurrent misses on the same key are deduplicated so
-// every (state, io) pair is solved exactly once.
+// Analyze solves the design under the given memory state and I/O
+// activity. It is AnalyzeCtx without cancellation. Analyze is safe for
+// concurrent use: the conductance matrix is immutable after Build and
+// each solve works on its own vectors. Every call solves; callers whose
+// traffic repeats (state, io) points keep their own memo.
 func (a *Analyzer) Analyze(state memstate.State, io float64) (*Result, error) {
-	key := state.Key() + "@" + strconv.FormatFloat(io, 'g', -1, 64)
-	return a.results.Do(key, func() (*Result, error) {
-		a.solves.Add(1)
-		return a.analyze(state, io)
-	})
+	return a.AnalyzeCtx(context.Background(), state, io)
 }
 
-// Solves reports how many nodal solves the analyzer has run — cache hits
-// and deduplicated concurrent misses do not count. Exposed for the
-// exactly-once concurrency tests and solve-count accounting.
-func (a *Analyzer) Solves() int { return int(a.solves.Load()) }
-
-// AnalyzeCtx is Analyze with cooperative cancellation and WITHOUT the
-// analyzer's unbounded memoization: ctx is polled at every solver
-// iteration, so an abandoned request stops at the next iteration boundary.
-// The serving layer uses this — it brings its own bounded LRU and
-// singleflight, and per-request cancellation must not poison a shared
-// memo entry that other callers would then retry. When ctx carries a
-// request-trace span (obs.WithSpan), the analysis records "stamp" and
-// "solve" child spans under it, the latter annotated with the solver's
-// iteration count; with no span in ctx tracing is a no-op. A completed
-// solve returns values identical to Analyze's.
+// AnalyzeCtx is Analyze with cooperative cancellation: ctx is polled at
+// every solver iteration, so an abandoned request stops at the next
+// iteration boundary. When ctx carries a request-trace span
+// (obs.WithSpan), the analysis records "stamp" and "solve" child spans
+// under it, the latter annotated with the solver's iteration count; with
+// no span in ctx tracing is a no-op. A completed solve returns the same
+// values for every ctx.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, state memstate.State, io float64) (*Result, error) {
 	opts := a.Opts
 	opts.Cancel = ctx.Err
-	a.solves.Add(1)
-	return a.analyzeOpts(ctx, state, io, opts)
-}
-
-// AnalyzeCounts is Analyze for a bare per-die count vector using the
-// worst-case edge placement (paper §5.1).
-func (a *Analyzer) AnalyzeCounts(counts []int, io float64) (*Result, error) {
-	st, err := memstate.FromCounts(counts, memstate.WorstCaseEdge(a.Spec().DRAM.NumBanks))
-	if err != nil {
-		return nil, err
-	}
-	return a.Analyze(st, io)
-}
-
-// LoadedRHS assembles the folded right-hand side for a state without
-// solving — ties plus all DRAM and logic loads. Used by the netlist
-// exporter.
-func (a *Analyzer) LoadedRHS(state memstate.State, io float64) ([]float64, error) {
-	spec := a.Spec()
-	m := a.Model
-	rhs := m.BaseRHS()
-	for d := 0; d < spec.NumDRAM; d++ {
-		var banks []int
-		if d < len(state.Dies) {
-			banks = state.Dies[d]
-		}
-		loads, err := a.DRAMPower.Loads(spec.DRAM, banks, io)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.AddDRAMLoads(rhs, d, loads); err != nil {
-			return nil, err
-		}
-	}
-	if a.LogicPower != nil {
-		loads, err := a.LogicPower.Loads(spec.Logic)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.AddLogicLoads(rhs, loads); err != nil {
-			return nil, err
-		}
-	}
-	return rhs, nil
-}
-
-func (a *Analyzer) analyze(state memstate.State, io float64) (*Result, error) {
-	return a.analyzeOpts(context.Background(), state, io, a.Opts)
-}
-
-// stampLoads folds state's DRAM and logic loads into rhs, accumulating
-// the power bookkeeping fields of res. Split out of analyzeOpts so the
-// "stamp" trace span brackets exactly this work and is closed on the
-// error paths too.
-func (a *Analyzer) stampLoads(state memstate.State, io float64, rhs []float64, res *Result) error {
-	spec := a.Spec()
-	for d := 0; d < spec.NumDRAM; d++ {
-		var banks []int
-		if d < len(state.Dies) {
-			banks = state.Dies[d]
-		}
-		loads, err := a.DRAMPower.Loads(spec.DRAM, banks, io)
-		if err != nil {
-			return err
-		}
-		p := powermap.TotalPower(loads)
-		res.TotalPower += p
-		if len(banks) > 0 {
-			res.ActiveDiePower = p
-		}
-		if err := a.Model.AddDRAMLoads(rhs, d, loads); err != nil {
-			return err
-		}
-	}
-	if a.LogicPower != nil {
-		loads, err := a.LogicPower.Loads(spec.Logic)
-		if err != nil {
-			return err
-		}
-		if err := a.Model.AddLogicLoads(rhs, loads); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (a *Analyzer) analyzeOpts(ctx context.Context, state memstate.State, io float64, opts solve.Options) (*Result, error) {
 	defer a.obs.Timer("irdrop.analyze_time").Start()()
 	spec := a.Spec()
 	if state.NumDies() > spec.NumDRAM {
@@ -352,6 +242,84 @@ func (a *Analyzer) analyzeOpts(ctx context.Context, state memstate.State, io flo
 	// Max over all analyzed states: order-independent, so deterministic.
 	a.obs.Gauge("irdrop.max_ir_v").SetMax(res.MaxIR)
 	return res, nil
+}
+
+// AnalyzeCounts is Analyze for a bare per-die count vector using the
+// worst-case edge placement (paper §5.1).
+func (a *Analyzer) AnalyzeCounts(counts []int, io float64) (*Result, error) {
+	st, err := memstate.FromCounts(counts, memstate.WorstCaseEdge(a.Spec().DRAM.NumBanks))
+	if err != nil {
+		return nil, err
+	}
+	return a.Analyze(st, io)
+}
+
+// LoadedRHS assembles the folded right-hand side for a state without
+// solving — ties plus all DRAM and logic loads. Used by the netlist
+// exporter.
+func (a *Analyzer) LoadedRHS(state memstate.State, io float64) ([]float64, error) {
+	spec := a.Spec()
+	m := a.Model
+	rhs := m.BaseRHS()
+	for d := 0; d < spec.NumDRAM; d++ {
+		var banks []int
+		if d < len(state.Dies) {
+			banks = state.Dies[d]
+		}
+		loads, err := a.DRAMPower.Loads(spec.DRAM, banks, io)
+		if err != nil {
+			return nil, err
+		}
+		if err := m.AddDRAMLoads(rhs, d, loads); err != nil {
+			return nil, err
+		}
+	}
+	if a.LogicPower != nil {
+		loads, err := a.LogicPower.Loads(spec.Logic)
+		if err != nil {
+			return nil, err
+		}
+		if err := m.AddLogicLoads(rhs, loads); err != nil {
+			return nil, err
+		}
+	}
+	return rhs, nil
+}
+
+// stampLoads folds state's DRAM and logic loads into rhs, accumulating
+// the power bookkeeping fields of res. Split out of AnalyzeCtx so the
+// "stamp" trace span brackets exactly this work and is closed on the
+// error paths too.
+func (a *Analyzer) stampLoads(state memstate.State, io float64, rhs []float64, res *Result) error {
+	spec := a.Spec()
+	for d := 0; d < spec.NumDRAM; d++ {
+		var banks []int
+		if d < len(state.Dies) {
+			banks = state.Dies[d]
+		}
+		loads, err := a.DRAMPower.Loads(spec.DRAM, banks, io)
+		if err != nil {
+			return err
+		}
+		p := powermap.TotalPower(loads)
+		res.TotalPower += p
+		if len(banks) > 0 {
+			res.ActiveDiePower = p
+		}
+		if err := a.Model.AddDRAMLoads(rhs, d, loads); err != nil {
+			return err
+		}
+	}
+	if a.LogicPower != nil {
+		loads, err := a.LogicPower.Loads(spec.Logic)
+		if err != nil {
+			return err
+		}
+		if err := a.Model.AddLogicLoads(rhs, loads); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MaxIRmV returns the stack maximum IR drop in millivolts.

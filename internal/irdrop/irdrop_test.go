@@ -77,31 +77,6 @@ func TestAnalyzeBasics(t *testing.T) {
 	}
 }
 
-func TestAnalyzeCaching(t *testing.T) {
-	a, err := New(coarseSpec(t), powermap.StackedDDR3Power(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := a.Analyze(state(t, 0, 0, 0, 2), 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := a.Analyze(state(t, 0, 0, 0, 2), 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Error("identical queries must hit the cache (same pointer)")
-	}
-	r3, err := a.Analyze(state(t, 0, 0, 0, 2), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3 == r1 {
-		t.Error("different IO must not hit the cache")
-	}
-}
-
 func TestAnalyzeRejectsBadState(t *testing.T) {
 	a, err := New(coarseSpec(t), powermap.StackedDDR3Power(), nil)
 	if err != nil {
@@ -287,7 +262,8 @@ func TestCrowdingWorseWithFewEdgeTSVs(t *testing.T) {
 }
 
 // AnalyzeCtx: a canceled context aborts mid-solve; a live context produces
-// results identical to Analyze without sharing its memo (fresh pointers).
+// results identical to Analyze's, as fresh objects (the analyzer keeps no
+// memo).
 func TestAnalyzeCtx(t *testing.T) {
 	a, err := New(coarseSpec(t), powermap.StackedDDR3Power(), nil)
 	if err != nil {
@@ -305,19 +281,19 @@ func TestAnalyzeCtx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo, err := a.Analyze(st, 1.0)
+	plain, err := a.Analyze(st, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh == memo {
-		t.Error("AnalyzeCtx must not share the memoized result")
+	if fresh == plain {
+		t.Error("two analyses returned one shared result")
 	}
-	if fresh.MaxIR != memo.MaxIR || fresh.TotalPower != memo.TotalPower {
-		t.Errorf("AnalyzeCtx result differs: MaxIR %g vs %g", fresh.MaxIR, memo.MaxIR)
+	if fresh.MaxIR != plain.MaxIR || fresh.TotalPower != plain.TotalPower {
+		t.Errorf("AnalyzeCtx result differs: MaxIR %g vs %g", fresh.MaxIR, plain.MaxIR)
 	}
 	for d := range fresh.PerDie {
-		if fresh.PerDie[d] != memo.PerDie[d] {
-			t.Errorf("PerDie[%d] = %g vs %g", d, fresh.PerDie[d], memo.PerDie[d])
+		if fresh.PerDie[d] != plain.PerDie[d] {
+			t.Errorf("PerDie[%d] = %g vs %g", d, fresh.PerDie[d], plain.PerDie[d])
 		}
 	}
 }

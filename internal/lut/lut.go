@@ -71,13 +71,17 @@ func DefaultIOLevels() []float64 { return []float64{0.25, 0.5, 1.0} }
 // per CPU. The analyzer's design defines the die and bank counts; states
 // use the worst-case edge placement like the paper's Table 5.
 func Build(a *irdrop.Analyzer, maxPerDie int, ioLevels []float64) (*Table, error) {
-	return BuildWith(a, maxPerDie, ioLevels, 0)
+	return BuildWith(a.AnalyzeCounts, a.Spec().NumDRAM, maxPerDie, ioLevels, 0)
 }
 
-// BuildWith is Build with an explicit worker budget (<= 0 selects
-// GOMAXPROCS). Design points fan out across the pool; the table contents
-// are identical for every worker count.
-func BuildWith(a *irdrop.Analyzer, maxPerDie int, ioLevels []float64, workers int) (*Table, error) {
+// BuildWith is Build over an arbitrary per-point analysis of a dies-die
+// design, with an explicit worker budget (<= 0 selects GOMAXPROCS).
+// analyze maps a per-die count vector and I/O level to its result and
+// must be safe for concurrent use; a caller that memoizes analyses
+// passes its memo here (Build passes Analyzer.AnalyzeCounts). Design
+// points fan out across the pool; the table contents are identical for
+// every worker count.
+func BuildWith(analyze func(counts []int, io float64) (*irdrop.Result, error), dies, maxPerDie int, ioLevels []float64, workers int) (*Table, error) {
 	if maxPerDie < 1 {
 		return nil, fmt.Errorf("lut: maxPerDie %d must be >= 1", maxPerDie)
 	}
@@ -91,7 +95,6 @@ func BuildWith(a *irdrop.Analyzer, maxPerDie int, ioLevels []float64, workers in
 			return nil, fmt.Errorf("lut: IO level %g out of (0,1]", io)
 		}
 	}
-	dies := a.Spec().NumDRAM
 	t := &Table{
 		Dies:      dies,
 		MaxPerDie: maxPerDie,
@@ -99,9 +102,8 @@ func BuildWith(a *irdrop.Analyzer, maxPerDie int, ioLevels []float64, workers in
 		entries:   make(map[string]float64),
 	}
 	// Enumerate all count vectors, then fan the solves out across the
-	// worker pool: each solve only reads the shared conductance matrix,
-	// and Analyze is safe for concurrent use. Each design point writes its
-	// own result slot, so no channels or locks are needed.
+	// worker pool: analyze is safe for concurrent use, and each design
+	// point writes its own result slot, so no channels or locks are needed.
 	var states [][]int
 	counts := make([]int, dies)
 	var rec func(d int)
@@ -122,7 +124,7 @@ func BuildWith(a *irdrop.Analyzer, maxPerDie int, ioLevels []float64, workers in
 	err := par.Sweep(workers, len(states), func(i int) error {
 		irs[i] = make([]float64, len(levels))
 		for li, io := range levels {
-			r, err := a.AnalyzeCounts(states[i], io)
+			r, err := analyze(states[i], io)
 			if err != nil {
 				return err
 			}

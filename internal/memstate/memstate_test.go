@@ -15,9 +15,6 @@ func TestFromCountsAndString(t *testing.T) {
 	if got := s.String(); got != "0-0-0-2" {
 		t.Errorf("String = %q, want 0-0-0-2", got)
 	}
-	if got := s.TotalActive(); got != 2 {
-		t.Errorf("TotalActive = %d, want 2", got)
-	}
 	if !reflect.DeepEqual(s.Dies[3], []int{7, 5}) {
 		t.Errorf("worst-case placement = %v, want [7 5]", s.Dies[3])
 	}
@@ -188,26 +185,6 @@ func TestIntraPairOverlap(t *testing.T) {
 		if got := IntraPairOverlap(c.state); got != c.overlap {
 			t.Errorf("%s: overlap = %v, want %v (Table 4)", c.name, got, c.overlap)
 		}
-	}
-}
-
-func TestBalancedPlacementDistinct(t *testing.T) {
-	pl := BalancedPlacement(8)
-	for n := 1; n <= 8; n++ {
-		banks, err := pl(0, n)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		seen := map[int]bool{}
-		for _, b := range banks {
-			if b < 0 || b > 7 || seen[b] {
-				t.Fatalf("n=%d: bad or duplicate bank %d in %v", n, b, banks)
-			}
-			seen[b] = true
-		}
-	}
-	if _, err := pl(0, 9); err == nil {
-		t.Error("n=9: want error")
 	}
 }
 

@@ -1,12 +1,14 @@
 // Package par provides the small concurrency primitives shared by the
 // analysis stack: a bounded worker-pool sweep with first-error
 // cancellation (design-space fan-out), deterministic block partitioning
-// (kernel sharding), and a singleflight-style call deduplicator (analyzer
-// and LUT caches).
+// (kernel sharding), and Group, the one memo primitive: a singleflight
+// call deduplicator with an optional LRU bound.
 package par
 
 import (
+	"container/list"
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -160,22 +162,35 @@ func Blocks(workers, n, block int, fn func(b, lo, hi int)) {
 	wg.Wait()
 }
 
-// Group deduplicates concurrent calls by key, singleflight-style: the
-// first caller for a key runs fn, every caller arriving while that call is
-// in flight waits for and shares its outcome, and successful results are
-// cached for all later callers. A failed call is not cached, so the next
-// caller retries. The zero value is ready to use.
+// Group is the memo primitive of the analysis stack: it deduplicates
+// concurrent calls by key, singleflight-style, and caches completed
+// values. The first caller for a key runs fn; every caller arriving while
+// that call is in flight waits for and shares its outcome; successful
+// values are kept for later callers. A failed call is not kept, so the
+// next caller retries. The zero value is ready to use and unbounded.
 //
-// Hits/Misses, when set, count calls served without executing fn (cache
-// hit or shared in-flight result) versus fn executions. For error-free
-// workloads both are functions of the call multiset alone, independent of
-// worker count; failed calls retry, so error paths may add misses.
+// Bound, when > 0, caps the completed entries: completing one more
+// evicts the least recently used. In-flight calls never count toward the
+// bound and are never evicted.
+//
+// Hits/Misses, when set, count calls served without executing fn
+// (completed value or shared in-flight call) versus fn executions. For
+// error-free workloads on an unbounded Group both are functions of the
+// call multiset alone, independent of worker count; failed calls retry,
+// so error paths may add misses.
 type Group[V any] struct {
-	mu       sync.Mutex
-	done     map[string]V
-	inflight map[string]*flight[V]
-
+	Bound        int
 	Hits, Misses *obs.Counter
+
+	mu       sync.Mutex
+	done     map[string]*list.Element // values are *entry[V]
+	lru      list.List                // front = most recently used
+	inflight map[string]*flight[V]
+}
+
+type entry[V any] struct {
+	key string
+	val V
 }
 
 type flight[V any] struct {
@@ -184,79 +199,94 @@ type flight[V any] struct {
 	err error
 }
 
-// Do returns the cached value for key, or runs fn to produce it. Among
-// concurrent callers for one key, exactly one executes fn.
-func (g *Group[V]) Do(key string, fn func() (V, error)) (V, error) {
-	g.mu.Lock()
-	if v, ok := g.done[key]; ok {
-		g.mu.Unlock()
-		g.Hits.Add(1)
-		return v, nil
-	}
-	if f, ok := g.inflight[key]; ok {
-		g.mu.Unlock()
-		g.Hits.Add(1)
-		f.wg.Wait()
-		return f.val, f.err
-	}
-	if g.inflight == nil {
-		g.inflight = map[string]*flight[V]{}
-	}
-	f := &flight[V]{}
-	f.wg.Add(1)
-	g.inflight[key] = f
-	g.mu.Unlock()
-	g.Misses.Add(1)
+// Outcome reports how a Group.Do call was served.
+type Outcome uint8
 
-	f.val, f.err = fn()
+const (
+	// Ran: this caller executed fn.
+	Ran Outcome = iota
+	// Hit: a completed value was returned without running anything.
+	Hit
+	// Shared: this caller waited on another caller's in-flight fn and
+	// got its outcome.
+	Shared
+)
 
-	g.mu.Lock()
-	delete(g.inflight, key)
-	if f.err == nil {
-		if g.done == nil {
-			g.done = map[string]V{}
+// Do returns the completed value for key, or runs fn to produce it, and
+// reports how the call was served. Among concurrent callers for one key,
+// exactly one executes fn. A waiter whose shared call failed with
+// context.Canceled or context.DeadlineExceeded does not inherit that
+// error: the cancellation belonged to the caller that ran fn, so the
+// waiter retries (and runs fn itself if no other call is in flight).
+func (g *Group[V]) Do(key string, fn func() (V, error)) (V, Outcome, error) {
+	for {
+		g.mu.Lock()
+		if e, ok := g.done[key]; ok {
+			g.lru.MoveToFront(e)
+			g.mu.Unlock()
+			g.Hits.Add(1)
+			return e.Value.(*entry[V]).val, Hit, nil
 		}
-		g.done[key] = f.val
+		if f, ok := g.inflight[key]; ok {
+			g.mu.Unlock()
+			g.Hits.Add(1)
+			f.wg.Wait()
+			if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
+				continue
+			}
+			return f.val, Shared, f.err
+		}
+		if g.inflight == nil {
+			g.inflight = map[string]*flight[V]{}
+		}
+		f := &flight[V]{}
+		f.wg.Add(1)
+		g.inflight[key] = f
+		g.mu.Unlock()
+		g.Misses.Add(1)
+
+		f.val, f.err = fn()
+
+		g.mu.Lock()
+		delete(g.inflight, key)
+		if f.err == nil {
+			g.store(key, f.val)
+		}
+		g.mu.Unlock()
+		f.wg.Done()
+		return f.val, Ran, f.err
 	}
-	g.mu.Unlock()
-	f.wg.Done()
-	return f.val, f.err
 }
 
-// Forget drops the completed value for key, so the next Do runs fn again.
-// An in-flight call for the key is unaffected: it still completes and
-// caches its own result. Layering a bounded cache on top of a Group —
-// check the cache, Do on miss, then move the value into the cache and
-// Forget — keeps the Group holding only in-flight work while the external
-// cache enforces the size bound.
-func (g *Group[V]) Forget(key string) {
-	g.mu.Lock()
-	delete(g.done, key)
-	g.mu.Unlock()
+// store records a completed value, evicting beyond the bound. g.mu must
+// be held.
+func (g *Group[V]) store(key string, v V) {
+	if g.done == nil {
+		g.done = map[string]*list.Element{}
+	}
+	g.done[key] = g.lru.PushFront(&entry[V]{key: key, val: v})
+	if g.Bound > 0 && g.lru.Len() > g.Bound {
+		oldest := g.lru.Back()
+		g.lru.Remove(oldest)
+		delete(g.done, oldest.Value.(*entry[V]).key)
+	}
 }
 
 // Reset drops every completed value, so each key's next Do runs fn again.
-// In-flight calls are unaffected (they complete and cache their own
+// In-flight calls are unaffected (they complete and keep their own
 // results). Callers that invalidate the inputs a Group's values were
 // derived from — e.g. restamping the matrix a solver cache factorized —
 // use Reset to flush the stale values in one step.
 func (g *Group[V]) Reset() {
 	g.mu.Lock()
 	g.done = nil
+	g.lru.Init()
 	g.mu.Unlock()
 }
 
-// Cached returns the completed value for key, if any.
-func (g *Group[V]) Cached(key string) (V, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	v, ok := g.done[key]
-	return v, ok
-}
-
-// Len reports the number of completed (cached) keys.
+// Len reports the number of completed (kept) keys.
 func (g *Group[V]) Len() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.done)
+	return g.lru.Len()
 }

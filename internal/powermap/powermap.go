@@ -190,9 +190,6 @@ func (m *DRAMModel) DiePower(nActive int, io float64) float64 {
 	return m.Scale * (idle + m.BankPower*float64(nActive) + v)
 }
 
-// IdlePower returns the standby power of an idle die.
-func (m *DRAMModel) IdlePower() float64 { return m.DiePower(0, m.Anchors[0].IO) }
-
 // Loads distributes one die's power over its floorplan blocks for the
 // given set of active banks and I/O activity. Idle-die standby power goes
 // 50 % to the peripheral strip, 25 % to column paths, 25 % uniformly over

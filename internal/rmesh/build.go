@@ -171,21 +171,17 @@ func Build(spec *pdn.Spec) (*Model, error) { return BuildObs(spec, nil) }
 // model/node/resistor counts under "rmesh.*", and solver-cache hit/miss
 // counters on the model's per-matrix solver cache. A nil registry
 // disables instrumentation; the mesh built is identical either way.
+//
+// The build runs both phases in one pass: geometry (layer grids and node
+// numbering), the symbolic freeze (CSR pattern), and the numeric stamp
+// (conductance values). The frozen shape stays reachable through
+// Model.Topology, so value-compatible specs can restamp over it. Compress
+// and Freeze+Scatter merge duplicate stamps in the same order, so the
+// matrix is bit-identical to what the one-shot pre-split Build produced.
 func BuildObs(spec *pdn.Spec, reg *obs.Registry) (*Model, error) {
-	_, m, err := buildBoth(spec, reg)
-	return m, err
-}
-
-// buildBoth runs the full two-phase build in one pass: geometry (layer
-// grids and node numbering), the symbolic freeze (CSR pattern), and the
-// numeric stamp (conductance values), returning the frozen Topology and
-// the first Model over it. Compress and Freeze+Scatter merge duplicate
-// stamps in the same order, so the matrix is bit-identical to what the
-// one-shot pre-split Build produced.
-func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 	defer reg.Timer("rmesh.build_time").Start()()
 	if err := spec.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m := &Model{
 		Spec:  spec,
@@ -221,18 +217,18 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 			}
 			ml, err := spec.LogicTech.Layer(name)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			l, err := addLayer("logic/"+name, DieLogic, name, spec.Logic.Outline, ml.Dir, ml.SheetR/u, i == 0)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if i == 0 {
 				m.logicLoad = l
 			}
 		}
 		if m.logicLoad == nil {
-			return nil, nil, fmt.Errorf("rmesh: logic die has no load layer")
+			return nil, fmt.Errorf("rmesh: logic die has no load layer")
 		}
 	}
 
@@ -240,7 +236,7 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 	if spec.RDL == pdn.RDLInterface {
 		rdl := spec.DRAMTech.RDL
 		if _, err := addLayer("rdl/if", DieInterfaceRDL, rdl.Name, spec.DRAM.Outline, rdl.Dir, rdl.SheetR/rdl.MaxUsage, false); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 
@@ -254,25 +250,25 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 			}
 			ml, err := spec.DRAMTech.Layer(name)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			key := fmt.Sprintf("dram%d/%s", d, name)
 			l, err := addLayer(key, d, name, spec.DRAM.Outline, ml.Dir, ml.SheetR/u, i == 0)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if i == 0 {
 				m.dramLoad[d] = l
 			}
 		}
 		if m.dramLoad[d] == nil {
-			return nil, nil, fmt.Errorf("rmesh: DRAM die %d has no load layer", d)
+			return nil, fmt.Errorf("rmesh: DRAM die %d has no load layer", d)
 		}
 		if spec.RDL == pdn.RDLAll {
 			rdl := spec.DRAMTech.RDL
 			key := fmt.Sprintf("dram%d/RDL", d)
 			if _, err := addLayer(key, d, rdl.Name, spec.DRAM.Outline, rdl.Dir, rdl.SheetR/rdl.MaxUsage, false); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
@@ -286,7 +282,7 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 	m.stampVias(b)
 	if err := m.stampConnections(b); err != nil {
 		stopStamp()
-		return nil, nil, err
+		return nil, err
 	}
 	pat := b.Freeze()
 	m.Matrix = pat.NewCSR()
@@ -329,7 +325,7 @@ func buildBoth(spec *pdn.Spec, reg *obs.Registry) (*Topology, *Model, error) {
 	}
 	m.topo = t
 	m.stampBuf = b.RawVals()
-	return t, m, nil
+	return m, nil
 }
 
 // orderedLayers returns the PDN layer names of a technology in stack order

@@ -76,7 +76,7 @@ func (m *Model) Solver(opt solve.Options) (solve.Solver, error) {
 	if opt.Obs == nil {
 		opt.Obs = m.obs // an instrumented model instruments its solvers
 	}
-	return m.solvers.Do(method+"/"+strconv.Itoa(opt.Workers), func() (solve.Solver, error) {
+	s, _, err := m.solvers.Do(method+"/"+strconv.Itoa(opt.Workers), func() (solve.Solver, error) {
 		if solve.UsesReordering(method) {
 			inner, err := solve.New(m.reorderedMatrix(), opt)
 			if err != nil {
@@ -86,6 +86,7 @@ func (m *Model) Solver(opt solve.Options) (solve.Solver, error) {
 		}
 		return solve.New(m.Matrix, opt)
 	})
+	return s, err
 }
 
 // reorderedMatrix materializes the RCM-reordered conductance matrix on

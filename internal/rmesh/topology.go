@@ -65,18 +65,6 @@ func (t *Topology) N() int { return t.n }
 // NNZ returns the stored-entry count of the frozen matrix pattern.
 func (t *Topology) NNZ() int { return t.pattern.NNZ() }
 
-// BuildTopology assembles and freezes the topology of a design. The full
-// build runs once (geometry, symbolic sort, numeric stamp); the returned
-// Topology then mints value-specific models via NewModel without
-// repeating the symbolic work.
-func BuildTopology(spec *pdn.Spec) (*Topology, error) { return BuildTopologyObs(spec, nil) }
-
-// BuildTopologyObs is BuildTopology with instrumentation (see BuildObs).
-func BuildTopologyObs(spec *pdn.Spec, reg *obs.Registry) (*Topology, error) {
-	t, _, err := buildBoth(spec, reg)
-	return t, err
-}
-
 // NewModel stamps spec's conductance values over the frozen topology and
 // returns a fully usable Model — bit-identical to Build(spec), but
 // skipping geometry construction and the symbolic sort. spec must share

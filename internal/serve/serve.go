@@ -10,23 +10,20 @@
 //     that cannot get a slot within the queue-wait budget is rejected
 //     with 429, and every request is rejected with 503 once draining
 //     starts.
-//   - Result cache: a bounded LRU keyed by the canonical speckey-framed
-//     cache key (design fingerprint, explicit state, I/O activity), so
-//     equivalent spellings of one query share a single entry and repeat
-//     queries never re-solve.
-//   - Singleflight: concurrent misses on one cache key collapse to a
-//     single solve via par.Group; the group is Forgotten after the value
-//     moves into the LRU, so only in-flight work lives in it.
-//   - Topology tier: analyzer builds go through a second bounded LRU
-//     keyed by the topology half of the spec key (the mesh shape). A
-//     full-key near-miss that shares a shape — a value-only variation of
-//     a cached design — skips geometry and symbolic work and restamps
-//     conductances over the frozen pattern, bit-identical to a cold
-//     build. With Config.WarmStart on, designs sharing a topology also
-//     seed each other's solves.
+//   - Result cache: a bounded par.Group of marshaled bodies keyed by the
+//     canonical speckey-framed cache key (design fingerprint, explicit
+//     state, I/O activity), so equivalent spellings of one query share a
+//     single entry and repeat queries never re-solve. Concurrent misses
+//     on one key collapse to a single solve (singleflight).
+//   - Design caches: two more bounded Groups keyed by the design, one of
+//     analyzers (mesh, conductance matrix, solver setup) and one of built
+//     look-up tables. With Config.WarmStart on, each analyzer also seeds
+//     its solves with its own latest solution.
 //   - Cancellation: each solve runs under the request context through
 //     irdrop.AnalyzeCtx, so an abandoned connection stops burning CPU at
-//     the next solver-iteration boundary.
+//     the next solver-iteration boundary. A request sharing that solve
+//     does not inherit the cancellation: par.Group re-runs the solve for
+//     it.
 //
 // Responses carry only deterministic fields (no timings, no timestamps):
 // for a given request the body is byte-identical across runs and across
@@ -53,7 +50,6 @@ import (
 	"pdn3d/internal/obs"
 	"pdn3d/internal/par"
 	"pdn3d/internal/query"
-	"pdn3d/internal/rmesh"
 	"pdn3d/internal/speckey"
 )
 
@@ -75,17 +71,14 @@ type Config struct {
 	// QueueWait bounds how long a request may wait for an admission slot
 	// before a 429; <= 0 selects 1s.
 	QueueWait time.Duration
-	// CacheSize bounds the analyze result LRU (entries); <= 0 selects 1024.
+	// CacheSize bounds the analyze result cache (entries); <= 0 selects
+	// 1024.
 	CacheSize int
-	// DesignCacheSize bounds the analyzer and LUT LRUs (distinct designs
+	// DesignCacheSize bounds the analyzer and LUT caches (distinct designs
 	// held in memory); <= 0 selects 64.
 	DesignCacheSize int
-	// TopoCacheSize bounds the frozen mesh-topology LRU (distinct design
-	// shapes); <= 0 selects DesignCacheSize. A full-key near-miss that
-	// hits here skips geometry and symbolic work and only restamps values.
-	TopoCacheSize int
 	// WarmStart seeds each design's solves with the latest solution
-	// published for its topology. Warm solves converge to the same
+	// published for that design. Warm solves converge to the same
 	// tolerance but are NOT byte-identical to cold ones, so this breaks
 	// the byte-determinism contract on response bodies — off by default,
 	// opt in when throughput matters more than bit-stability.
@@ -129,31 +122,19 @@ type Server struct {
 	sem      chan struct{}
 	draining atomic.Bool
 
-	// Analyze results: bounded LRU of marshaled bodies over a
-	// singleflight group (see lru doc).
-	results *lru[[]byte]
-	flights par.Group[[]byte]
+	// Bounded caches (see the package doc): marshaled analyze bodies,
+	// per-design analyzers, and per-design LUTs.
+	results   par.Group[[]byte]
+	analyzers par.Group[*irdrop.Analyzer]
+	luts      par.Group[*lut.Table]
 
-	// Per-design caches: analyzers (conductance matrix + solver) and
-	// built LUTs, same LRU-over-group layering.
-	analyzers *lru[*irdrop.Analyzer]
-	aflights  par.Group[*irdrop.Analyzer]
-	luts      *lru[*lut.Table]
-	lflights  par.Group[*lut.Table]
-
-	// Topology tier: frozen mesh shapes keyed by the topology half of the
-	// spec key. A query whose full spec key misses but whose topology key
-	// hits restamps values over the cached shape instead of rebuilding
-	// geometry and re-sorting the pattern; the entry also carries the
-	// per-topology warm-start cell.
-	topos    *lru[*topoEntry]
-	tflights par.Group[*topoEntry]
-
-	cacheHits, cacheMisses *obs.Counter
-	topoHits, topoMisses   *obs.Counter
-	admitted               *obs.Counter
-	rejectedBusy           *obs.Counter
-	rejectedDraining       *obs.Counter
+	// Result-cache outcomes: a hit needed no flight; a miss either ran
+	// the solve (flight miss) or shared a concurrent one (flight hit).
+	cacheHits, cacheMisses   *obs.Counter
+	flightHits, flightMisses *obs.Counter
+	admitted                 *obs.Counter
+	rejectedBusy             *obs.Counter
+	rejectedDraining         *obs.Counter
 
 	// Request-scoped observability: per-endpoint telemetry, the bounded
 	// trace retention behind /debug/requests, the solve flight-record
@@ -184,25 +165,19 @@ func New(cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 256
 	}
-	if cfg.TopoCacheSize <= 0 {
-		cfg.TopoCacheSize = cfg.DesignCacheSize
-	}
 	s := &Server{
-		cfg:       cfg,
-		reg:       cfg.Reg,
-		mux:       http.NewServeMux(),
-		sem:       make(chan struct{}, cfg.MaxInFlight),
-		results:   newLRU[[]byte](cfg.CacheSize),
-		analyzers: newLRU[*irdrop.Analyzer](cfg.DesignCacheSize),
-		luts:      newLRU[*lut.Table](cfg.DesignCacheSize),
-		topos:     newLRU[*topoEntry](cfg.TopoCacheSize),
+		cfg: cfg,
+		reg: cfg.Reg,
+		mux: http.NewServeMux(),
+		sem: make(chan struct{}, cfg.MaxInFlight),
 	}
-	s.flights.Hits = s.reg.Counter("serve.flight.hits")
-	s.flights.Misses = s.reg.Counter("serve.flight.misses")
+	s.results.Bound = cfg.CacheSize
+	s.analyzers.Bound = cfg.DesignCacheSize
+	s.luts.Bound = cfg.DesignCacheSize
 	s.cacheHits = s.reg.Counter("serve.cache.hits")
 	s.cacheMisses = s.reg.Counter("serve.cache.misses")
-	s.topoHits = s.reg.Counter("serve.topo_cache.hits")
-	s.topoMisses = s.reg.Counter("serve.topo_cache.misses")
+	s.flightHits = s.reg.Counter("serve.flight.hits")
+	s.flightMisses = s.reg.Counter("serve.flight.misses")
 	s.admitted = s.reg.Counter("serve.admission.admitted")
 	s.rejectedBusy = s.reg.Counter("serve.admission.rejected_busy")
 	s.rejectedDraining = s.reg.Counter("serve.admission.rejected_draining")
@@ -410,15 +385,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 	writeBody(w, http.StatusOK, body)
 }
 
-// analyzeOne runs one query through resolve -> LRU -> singleflight ->
-// solve and returns the marshaled response body. On error the returned
-// status is the HTTP status the error maps to.
+// analyzeOne runs one query through resolve -> result cache -> solve and
+// returns the marshaled response body. On error the returned status is
+// the HTTP status the error maps to.
 //
-// Trace phases: "cache" covers resolve plus the LRU lookup (outcome
-// hit|miss|invalid); on a miss, "flight" covers the singleflight call —
-// outcome "solve" when this request executed the work (with stamp,
+// Trace phases: "cache" covers resolve plus the cache lookup (outcome
+// hit|miss|invalid); on a miss, "flight" covers the rest of the request —
+// outcome "solve" when this request executed the work (with mesh, stamp,
 // solve, and serialize children recorded under it) or "shared" when it
-// waited on a concurrent caller's solve of the same key.
+// waited on a concurrent request's solve of the same key. A shared
+// request learns it missed only when its wait ends, so its cache span
+// covers the wait too.
 func (s *Server) analyzeOne(ctx context.Context, q query.Query) ([]byte, int, error) {
 	parent := obs.SpanFrom(ctx)
 	cs := parent.Child("cache")
@@ -431,22 +408,12 @@ func (s *Server) analyzeOne(ctx context.Context, q query.Query) ([]byte, int, er
 	if s.cfg.MeshPitch > 0 && q.Pitch == 0 {
 		r.Spec.MeshPitch = s.cfg.MeshPitch
 	}
-	key := r.CacheKey()
-	if body, ok := s.results.get(key); ok {
-		s.cacheHits.Add(1)
-		cs.Annotate(obs.A("outcome", "hit"))
-		cs.End()
-		return body, http.StatusOK, nil
-	}
-	s.cacheMisses.Add(1)
-	cs.Annotate(obs.A("outcome", "miss"))
-	cs.End()
+	// The flight span opens before the lookup but is recorded only when
+	// ended, so a hit leaves no trace of it.
 	fs := parent.Child("flight")
-	ran := false
-	body, err := s.flights.Do(key, func() ([]byte, error) {
-		// ran is only written here and read after Do: the Group runs fn
-		// in this goroutine or not at all.
-		ran = true
+	body, how, err := s.results.Do(r.CacheKey(), func() ([]byte, error) {
+		cs.Annotate(obs.A("outcome", "miss"))
+		cs.End()
 		fctx := obs.WithSpan(ctx, fs)
 		a, err := s.analyzerFor(fctx, r)
 		if err != nil {
@@ -461,19 +428,26 @@ func (s *Server) analyzeOne(ctx context.Context, q query.Query) ([]byte, int, er
 		ss.End()
 		return b, err
 	})
-	if ran {
-		fs.Annotate(obs.A("outcome", "solve"))
-	} else {
+	switch how {
+	case par.Hit:
+		s.cacheHits.Add(1)
+		cs.Annotate(obs.A("outcome", "hit"))
+		cs.End()
+		return body, http.StatusOK, nil
+	case par.Shared:
+		s.flightHits.Add(1)
+		cs.Annotate(obs.A("outcome", "miss"))
+		cs.End()
 		fs.Annotate(obs.A("outcome", "shared"))
+	default:
+		s.flightMisses.Add(1)
+		fs.Annotate(obs.A("outcome", "solve"))
 	}
+	s.cacheMisses.Add(1)
 	fs.End()
 	if err != nil {
-		// Not cached (Group drops failed calls), so a retry after a
-		// transient failure — e.g. a canceled first caller — re-solves.
 		return nil, statusFor(err), err
 	}
-	s.results.put(key, body)
-	s.flights.Forget(key)
 	return body, http.StatusOK, nil
 }
 
@@ -496,88 +470,29 @@ func marshalAnalyze(r *query.Resolved, res *irdrop.Result) ([]byte, error) {
 	})
 }
 
-// topoEntry is one cached mesh shape plus its warm-start cell: every
-// analyzer sharing the topology also shares the latest published solution
-// (when Config.WarmStart is on).
-type topoEntry struct {
-	topo *rmesh.Topology
-	warm *irdrop.WarmStart
-}
-
-// topologyFor returns the frozen topology for the resolved design's shape,
-// building at most one per topology key under singleflight. outcome is
-// "full" when this call executed the build and "restamp" when the shape
-// was already frozen (cache hit or shared flight) — the label the mesh
-// span and cache metrics carry.
-func (s *Server) topologyFor(r *query.Resolved) (te *topoEntry, outcome string, err error) {
-	key := r.TopoKey()
-	if te, ok := s.topos.get(key); ok {
-		s.topoHits.Add(1)
-		return te, "restamp", nil
-	}
-	s.topoMisses.Add(1)
-	built := false
-	te, err = s.tflights.Do(key, func() (*topoEntry, error) {
-		// built is only written here and read after Do: the Group runs fn
-		// in this goroutine or not at all.
-		built = true
-		t, err := rmesh.BuildTopologyObs(r.Spec, s.reg)
-		if err != nil {
-			return nil, err
-		}
-		return &topoEntry{topo: t, warm: &irdrop.WarmStart{}}, nil
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	s.topos.put(key, te)
-	s.tflights.Forget(key)
-	if built {
-		return te, "full", nil
-	}
-	return te, "restamp", nil
-}
-
-// analyzerFor returns the analyzer for the resolved design, building at
-// most one per design key under singleflight. Builds go topology-first:
-// the mesh shape comes from the topology tier (frozen once per shape) and
-// the analyzer restamps its values over it — a full-key near-miss that
-// shares a shape skips geometry and symbolic work. The goroutine that
-// executes the build records a "mesh" child span of ctx's active span,
-// annotated outcome="full" (this call also froze the topology) or
-// "restamp" (the shape was already cached).
+// analyzerFor returns the cached analyzer for the resolved design,
+// building at most one per design key under singleflight. The goroutine
+// that executes the build records a "mesh" child span of ctx's active
+// span.
 func (s *Server) analyzerFor(ctx context.Context, r *query.Resolved) (*irdrop.Analyzer, error) {
-	key := r.SpecKey()
-	if a, ok := s.analyzers.get(key); ok {
-		return a, nil
-	}
-	a, err := s.aflights.Do(key, func() (*irdrop.Analyzer, error) {
-		te, outcome, err := s.topologyFor(r)
-		if err != nil {
-			return nil, err
-		}
-		ms := obs.SpanFrom(ctx).Child("mesh", obs.A("outcome", outcome))
+	a, _, err := s.analyzers.Do(r.SpecKey(), func() (*irdrop.Analyzer, error) {
+		ms := obs.SpanFrom(ctx).Child("mesh", obs.A("outcome", "full"))
 		defer ms.End()
-		a, err := irdrop.NewFromTopologyObs(te.topo, r.Spec, r.Bench.DRAMPower, r.Logic, s.reg)
+		a, err := irdrop.NewObs(r.Spec, r.Bench.DRAMPower, r.Logic, s.reg)
 		if err != nil {
 			return nil, err
 		}
 		a.Opts.Method = s.cfg.Solver
 		a.Opts.Workers = s.cfg.Workers
 		if s.cfg.WarmStart {
-			a.Warm = te.warm
+			a.Warm = &irdrop.WarmStart{}
 		}
 		// All designs share the server's one solve buffer (nil when
 		// recording is disabled — the analyzer's no-op path).
 		a.SolveRecords = s.solves
 		return a, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.analyzers.put(key, a)
-	s.aflights.Forget(key)
-	return a, nil
+	return a, err
 }
 
 // BatchRequest is the /v1/batch body: independent queries fanned out over
@@ -772,23 +687,14 @@ func (s *Server) lutFor(ctx context.Context, r *query.Resolved, maxPerDie int, l
 	for _, io := range levels {
 		kb.Float(io)
 	}
-	key := kb.String()
-	if t, ok := s.luts.get(key); ok {
-		return t, nil
-	}
-	t, err := s.lflights.Do(key, func() (*lut.Table, error) {
+	t, _, err := s.luts.Do(kb.String(), func() (*lut.Table, error) {
 		a, err := s.analyzerFor(ctx, r)
 		if err != nil {
 			return nil, err
 		}
-		return lut.BuildWith(a, maxPerDie, levels, s.cfg.Workers)
+		return lut.BuildWith(a.AnalyzeCounts, r.Spec.NumDRAM, maxPerDie, levels, s.cfg.Workers)
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.luts.put(key, t)
-	s.lflights.Forget(key)
-	return t, nil
+	return t, err
 }
 
 type healthBody struct {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -393,16 +394,105 @@ func TestMixedLoad64(t *testing.T) {
 	}
 }
 
+// TestResultCacheIsBounded: after more distinct designs than the bounds,
+// each of the server's caches holds at most its bound.
 func TestResultCacheIsBounded(t *testing.T) {
-	s, ts := newTestServer(t, Config{CacheSize: 2})
-	for _, io := range []string{"1.0", "0.5", "0.25"} {
-		post(t, ts.URL+"/v1/analyze", `{"bench":"ddr3-off","state":"0-0-0-1","io":`+io+`}`)
+	s, ts := newTestServer(t, Config{CacheSize: 2, DesignCacheSize: 2})
+	for _, tsv := range []string{"15", "33", "64"} {
+		q := `{"bench":"ddr3-off","state":"0-0-0-1","io":1.0,"tsv":` + tsv + `}`
+		if resp, body := post(t, ts.URL+"/v1/analyze", q); resp.StatusCode != http.StatusOK {
+			t.Fatalf("analyze tsv=%s: status %d, body %s", tsv, resp.StatusCode, body)
+		}
+		l := `{"bench":"ddr3-off","tsv":` + tsv + `,"max_per_die":1,"io_levels":[1.0]}`
+		if resp, body := post(t, ts.URL+"/v1/lut", l); resp.StatusCode != http.StatusOK {
+			t.Fatalf("lut tsv=%s: status %d, body %s", tsv, resp.StatusCode, body)
+		}
 	}
-	if got := s.results.len(); got != 2 {
-		t.Errorf("result cache holds %d entries, want the bound 2", got)
+	for name, n := range map[string]int{"results": s.results.Len(), "analyzers": s.analyzers.Len(), "luts": s.luts.Len()} {
+		if n != 2 {
+			t.Errorf("%s cache holds %d entries after 3 distinct designs, want the bound 2", name, n)
+		}
 	}
-	// The singleflight group must not retain completed results.
-	if got := s.flights.Len(); got != 0 {
-		t.Errorf("flight group retains %d completed results, want 0", got)
+}
+
+// gatedCtx is a request context whose first Err poll — the solver's
+// cancellation check — reports that the solve has started, blocks until
+// released, and from then on reports context.Canceled: a client that
+// hangs up mid-solve, on cue.
+type gatedCtx struct {
+	context.Context
+	once     sync.Once
+	entered  chan struct{}
+	release  chan struct{}
+	canceled atomic.Bool
+}
+
+func (c *gatedCtx) Err() error {
+	c.once.Do(func() {
+		close(c.entered)
+		<-c.release
+		c.canceled.Store(true)
+	})
+	if c.canceled.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSharedSolveSurvivesLeaderCancel: of two identical concurrent
+// /v1/analyze requests, the one running the solve is canceled mid-solve.
+// The one sharing that solve must not inherit the cancellation: it gets a
+// 200 whose body is byte-identical to a cold server's.
+func TestSharedSolveSurvivesLeaderCancel(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	// Counts callers that find the key completed or in flight: here, the
+	// second request committing to wait on the leader's solve.
+	s.results.Hits = s.reg.Counter("test.result_waits")
+	gate := &gatedCtx{Context: context.Background(), entered: make(chan struct{}), release: make(chan struct{})}
+	leader := httptest.NewRecorder()
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(goodQuery))
+		s.ServeHTTP(leader, req.WithContext(gate))
+	}()
+	<-gate.entered // the leader is inside its solve
+
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	second := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(goodQuery))
+		if err != nil {
+			second <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(resp.Body)
+		second <- reply{resp.StatusCode, buf.Bytes(), err}
+	}()
+	for s.results.Hits.Value() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.release)
+	<-leaderDone
+	if leader.Code != http.StatusServiceUnavailable {
+		t.Fatalf("canceled leader status = %d, want 503: %s", leader.Code, leader.Body.Bytes())
+	}
+	got := <-second
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.status != http.StatusOK {
+		t.Fatalf("sharing request status = %d, want 200: %s", got.status, got.body)
+	}
+	_, cold := newTestServer(t, Config{})
+	_, want := post(t, cold.URL+"/v1/analyze", goodQuery)
+	if !bytes.Equal(got.body, want) {
+		t.Errorf("sharing request body differs from a cold server's:\n%s\n%s", got.body, want)
 	}
 }

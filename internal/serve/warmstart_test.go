@@ -6,63 +6,7 @@ import (
 	"math"
 	"net/http"
 	"testing"
-
-	"pdn3d/internal/obs"
 )
-
-// TestTopologyCacheSurvivesAnalyzerEviction: with a one-entry analyzer
-// cache and a roomier topology cache, re-querying an evicted design must
-// rebuild its analyzer by restamping over the retained shape — a "mesh"
-// span with outcome=restamp and a topology-cache hit — instead of paying
-// the full geometry + symbolic build again.
-func TestTopologyCacheSurvivesAnalyzerEviction(t *testing.T) {
-	s, ts := newTestServer(t, Config{DesignCacheSize: 1, TopoCacheSize: 8})
-
-	// Design A: full build (cold everything).
-	post(t, ts.URL+"/v1/analyze", goodQuery)
-	// Design B (different TSV count → different shape): evicts A's analyzer.
-	post(t, ts.URL+"/v1/analyze", `{"bench":"ddr3-off","state":"0-0-0-2","io":1.0,"tsv":64}`)
-	// Design A again, new state so the result cache misses: the analyzer
-	// was evicted but its topology was not.
-	resp, body := post(t, ts.URL+"/v1/analyze", `{"bench":"ddr3-off","state":"1-0-0-2","io":1.0}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
-	}
-
-	snap := s.reg.Snapshot()
-	if got := snap.Counters["serve.topo_cache.hits"]; got != 1 {
-		t.Errorf("topo_cache.hits = %d, want 1 (third request reuses A's shape)", got)
-	}
-	if got := snap.Counters["serve.topo_cache.misses"]; got != 2 {
-		t.Errorf("topo_cache.misses = %d, want 2 (two cold shapes)", got)
-	}
-	if got := snap.Counters["rmesh.builds"]; got != 2 {
-		t.Errorf("rmesh.builds = %d, want 2 (the restamp path must not rebuild)", got)
-	}
-	if got := snap.Counters["rmesh.restamps"]; got != 3 {
-		t.Errorf("rmesh.restamps = %d, want 3 (every analyzer mints its model by restamp)", got)
-	}
-
-	// The third request's trace must carry a mesh span labeled restamp.
-	id := resp.Header.Get("X-Trace-Id")
-	_, dbody := getBody(t, ts.URL+"/debug/requests?id="+id)
-	var trace obs.TraceSnapshot
-	if err := json.Unmarshal(dbody, &trace); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, sp := range trace.Spans {
-		if sp.Name == "mesh" {
-			found = true
-			if sp.Attrs["outcome"] != "restamp" {
-				t.Errorf("mesh span outcome = %q, want restamp", sp.Attrs["outcome"])
-			}
-		}
-	}
-	if !found {
-		t.Error("third request recorded no mesh span")
-	}
-}
 
 // TestWarmStartOptIn: with Config.WarmStart on, solves for one design seed
 // each other. The answers are no longer byte-guaranteed — the documented

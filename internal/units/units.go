@@ -17,10 +17,7 @@
 // reports all IR-drop results in.
 package units
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Common scale factors relative to the canonical units.
 const (
@@ -70,21 +67,3 @@ func ApproxEqual(a, b, tol float64) bool {
 // default tolerance — the common "is this sweep axis collapsed / are
 // these knobs the same" test.
 func SameValue(a, b float64) bool { return ApproxEqual(a, b, Tol) }
-
-// MilliVolts renders a voltage drop (in V) as a millivolt string with the
-// two-decimal precision used in the paper's tables.
-func MilliVolts(v float64) string {
-	return fmt.Sprintf("%.2fmV", v/MilliVolt)
-}
-
-// ToMilliVolts converts a voltage in volts to millivolts.
-func ToMilliVolts(v float64) float64 { return v / MilliVolt }
-
-// CurrentMA returns the DC current in mA drawn by a load of p milliwatts
-// at v volts.
-func CurrentMA(p, v float64) float64 {
-	if v == 0 {
-		return 0
-	}
-	return p / v
-}
