@@ -48,7 +48,6 @@ func main() {
 	traceBuf := flag.Int("trace-buf", 0, "request traces retained for /debug/requests, per recent/slowest buffer (<= 0: default)")
 	noTrace := flag.Bool("no-trace", false, "disable request tracing (X-Trace-Id is still issued; /debug/requests stays empty)")
 	solveBuf := flag.Int("solve-buf", 0, "solve records retained for /debug/solves, per recent/worst buffer (<= 0: default)")
-	noSolveRec := flag.Bool("no-solve-rec", false, "disable the solve flight recorder (/debug/solves stays empty; solve histograms are not registered)")
 	healthInterval := flag.Duration("health-interval", obs.DefaultHealthInterval, "runtime-health gauge sampling period (0: disable the sampler)")
 	flag.Parse()
 
@@ -66,19 +65,18 @@ func main() {
 	}
 
 	s := serve.New(serve.Config{
-		Workers:             *workers,
-		Solver:              *solver,
-		MeshPitch:           *pitch,
-		MaxInFlight:         *maxInflight,
-		QueueWait:           *queueWait,
-		CacheSize:           *cacheSize,
-		WarmStart:           *warmStart,
-		MaxBatch:            *maxBatch,
-		TraceBufSize:        *traceBuf,
-		DisableTracing:      *noTrace,
-		SolveBufSize:        *solveBuf,
-		DisableSolveRecords: *noSolveRec,
-		Log:                 logger,
+		Workers:        *workers,
+		Solver:         *solver,
+		MeshPitch:      *pitch,
+		MaxInFlight:    *maxInflight,
+		QueueWait:      *queueWait,
+		CacheSize:      *cacheSize,
+		WarmStart:      *warmStart,
+		MaxBatch:       *maxBatch,
+		TraceBufSize:   *traceBuf,
+		DisableTracing: *noTrace,
+		SolveBufSize:   *solveBuf,
+		Log:            logger,
 	})
 	if *healthInterval > 0 {
 		// Runtime-health gauges (heap, goroutines, GC/scheduler pause p99s)

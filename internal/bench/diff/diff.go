@@ -209,22 +209,20 @@ func Check(s *gen.Spec, opt Options) (*MeshReport, error) {
 			rec := buf.StartSolveRecord()
 			o.Rec = rec
 			x, stats, err := m.Solve(rhs, solve.Options{Method: method, Workers: opt.Workers, CGOptions: o})
-			rec.Commit()
+			committed := rec.Commit(stats.SolveOutcome)
 			if err != nil {
 				return nil, fmt.Errorf("diff %s: %s (warm=%v): %w", s.Name, method, warm, err)
 			}
 			run := Run{
-				Method:     method,
-				Warm:       warm,
-				Iterations: stats.Iterations,
-				Residual:   stats.Residual,
-				Precond:    stats.Precond,
-				Fallback:   stats.Fallback,
-				RelErr:     RelErr(x, ref),
-			}
-			if recent, _, _ := buf.Snapshot(); len(recent) > 0 {
-				run.CondEst = recent[0].CondEst
-				run.Termination = recent[0].Termination
+				Method:      method,
+				Warm:        warm,
+				Iterations:  stats.Iterations,
+				Residual:    stats.Residual,
+				Precond:     stats.Precond,
+				Fallback:    stats.Fallback,
+				CondEst:     committed.CondEst,
+				Termination: stats.Termination,
+				RelErr:      RelErr(x, ref),
 			}
 			rep.Runs = append(rep.Runs, run)
 			if run.RelErr > rep.MaxRelErr {

@@ -185,9 +185,9 @@ func (a *Analyzer) Analyze(state memstate.State, io float64) (*Result, error) {
 // every solver iteration, so an abandoned request stops at the next
 // iteration boundary. When ctx carries a request-trace span
 // (obs.WithSpan), the analysis records "stamp" and "solve" child spans
-// under it, the latter annotated with the solver's iteration count; with
-// no span in ctx tracing is a no-op. A completed solve returns the same
-// values for every ctx.
+// under it, the latter annotated with the solve's outcome
+// (solve.CGStats.Attrs); with no span in ctx tracing is a no-op. A
+// completed solve returns the same values for every ctx.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, state memstate.State, io float64) (*Result, error) {
 	opts := a.Opts
 	opts.Cancel = ctx.Err
@@ -206,22 +206,20 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, state memstate.State, io floa
 	if err != nil {
 		return nil, err
 	}
-	solveSpan := parent.Child("solve")
-	opts.Span = solveSpan
 	if opts.X0 == nil {
-		if seed := a.Warm.Seed(m.N()); seed != nil {
-			opts.X0 = seed
-			solveSpan.Annotate(obs.A("warm", true))
-		}
+		opts.X0 = a.Warm.Seed(m.N())
 	}
+	solveSpan := parent.Child("solve")
 	rec := a.SolveRecords.StartSolveRecord()
 	rec.SetTrace(obs.TraceFrom(ctx).ID())
 	opts.Rec = rec
 	v, stats, err := m.Solve(rhs, opts)
+	// The span and the flight record are both derived from the returned
+	// stats, on the error path too: a failed or cancelled solve is
+	// exactly the record /debug/solves exists to surface.
+	solveSpan.Annotate(stats.Attrs()...)
 	solveSpan.End()
-	// Commit on the error path too: a failed or cancelled solve is exactly
-	// the record /debug/solves exists to surface.
-	rec.Commit()
+	rec.Commit(stats.SolveOutcome)
 	if err != nil {
 		return nil, fmt.Errorf("irdrop: %s state %s: %w", spec.Name, state, err)
 	}
@@ -258,30 +256,9 @@ func (a *Analyzer) AnalyzeCounts(counts []int, io float64) (*Result, error) {
 // solving — ties plus all DRAM and logic loads. Used by the netlist
 // exporter.
 func (a *Analyzer) LoadedRHS(state memstate.State, io float64) ([]float64, error) {
-	spec := a.Spec()
-	m := a.Model
-	rhs := m.BaseRHS()
-	for d := 0; d < spec.NumDRAM; d++ {
-		var banks []int
-		if d < len(state.Dies) {
-			banks = state.Dies[d]
-		}
-		loads, err := a.DRAMPower.Loads(spec.DRAM, banks, io)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.AddDRAMLoads(rhs, d, loads); err != nil {
-			return nil, err
-		}
-	}
-	if a.LogicPower != nil {
-		loads, err := a.LogicPower.Loads(spec.Logic)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.AddLogicLoads(rhs, loads); err != nil {
-			return nil, err
-		}
+	rhs := a.Model.BaseRHS()
+	if err := a.stampLoads(state, io, rhs, &Result{}); err != nil {
+		return nil, err
 	}
 	return rhs, nil
 }

@@ -77,7 +77,7 @@ func recorderLeak(b *obs.SolveBuffer, fail bool) error {
 	if fail {
 		return errFail
 	}
-	rec.Commit()
+	rec.Commit(obs.SolveOutcome{})
 	return nil
 }
 
@@ -86,17 +86,18 @@ func recorderLeak(b *obs.SolveBuffer, fail bool) error {
 func recorderCommitted(b *obs.SolveBuffer, fail bool) error {
 	rec := b.StartSolveRecord()
 	rec.RecordIter(1, 0.5)
-	rec.Commit()
+	rec.Commit(obs.SolveOutcome{})
 	if fail {
 		return errFail
 	}
 	return nil
 }
 
-// recorderDeferred is the idiomatic clean shape.
+// recorderDeferred closes the recorder on every path with one deferred
+// Commit.
 func recorderDeferred(b *obs.SolveBuffer, fail bool) error {
 	rec := b.StartSolveRecord()
-	defer rec.Commit()
+	defer rec.Commit(obs.SolveOutcome{})
 	if fail {
 		return errFail
 	}
@@ -109,7 +110,7 @@ func recorderHandoff(b *obs.SolveBuffer) {
 	commitRec(rec)
 }
 
-func commitRec(r *obs.SolveRecorder) { r.Commit() }
+func commitRec(r *obs.SolveRecorder) { r.Commit(obs.SolveOutcome{}) }
 
 // waived shows the escape hatch covering a multi-line statement: the
 // directive suppresses the finding on the argument line below it.

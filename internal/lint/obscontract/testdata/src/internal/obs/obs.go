@@ -55,8 +55,14 @@ type SolveBuffer struct{}
 // SolveRecorder mirrors the per-solve recorder.
 type SolveRecorder struct{}
 
+// SolveOutcome mirrors the solver-reported outcome a record commits.
+type SolveOutcome struct{}
+
+// SolveRecord mirrors the committed record.
+type SolveRecord struct{}
+
 func (b *SolveBuffer) StartSolveRecord() *SolveRecorder { return &SolveRecorder{} }
 
 func (r *SolveRecorder) RecordIter(alpha, res float64) {}
 
-func (r *SolveRecorder) Commit() {}
+func (r *SolveRecorder) Commit(o SolveOutcome) SolveRecord { return SolveRecord{} }

@@ -23,9 +23,9 @@ import (
 	"sync/atomic"
 )
 
-// Termination reasons a SolveRecord can carry. The CG core reports
-// converged/maxiter/cancelled/error; the recorder upgrades a maxiter
-// exit to stagnated when the best residual is old news (see
+// Termination reasons a SolveOutcome can carry. Solvers report
+// converged/maxiter/cancelled/error; Commit upgrades a maxiter exit to
+// stagnated when the recorded best residual is old news (see
 // stagnationWindow).
 const (
 	// TermConverged: the solve met its relative-residual tolerance.
@@ -64,6 +64,30 @@ const (
 	stagnationWindow = 50
 )
 
+// SolveOutcome is what one solve did: the solver identity and its final
+// story. The solve layer's CGStats embeds it, so the outcome a solver
+// returns and the outcome a SolveRecord carries are one definition, and
+// Commit copies it across verbatim. Field names and order are part of
+// the SolveRecord JSON contract (DESIGN.md §5i).
+type SolveOutcome struct {
+	// Method is the registry name of the solver ("cg-ic0", "cg-amg", …).
+	Method string `json:"method,omitempty"`
+	// Precond names the preconditioner that actually ran; Fallback marks
+	// a setup-time substitution (IC(0) breakdown → Jacobi).
+	Precond  string `json:"precond,omitempty"`
+	Fallback bool   `json:"fallback,omitempty"`
+	// N is the system dimension.
+	N int `json:"n"`
+	// Iterations, Residual (final relative residual) and Converged are
+	// the solver's own final story.
+	Iterations int     `json:"iterations"`
+	Residual   float64 `json:"residual"`
+	Converged  bool    `json:"converged"`
+	// Termination classifies the exit: converged, maxiter, cancelled,
+	// stagnated (records only — see Commit), or error.
+	Termination string `json:"termination,omitempty"`
+}
+
 // SolveRecord is one finished solve shaped for JSON export
 // (/debug/solves). Field names are a compatibility contract; see
 // DESIGN.md §5i.
@@ -73,22 +97,7 @@ type SolveRecord struct {
 	// TraceID links the solve to the request trace that ran it
 	// (/debug/requests?id=), when one was active.
 	TraceID string `json:"trace_id,omitempty"`
-	// Method is the registry name of the solver ("cg-ic0", "cg-amg", …).
-	Method string `json:"method,omitempty"`
-	// Precond names the preconditioner that actually ran; Fallback marks
-	// a setup-time substitution (IC(0) breakdown → Jacobi).
-	Precond  string `json:"precond,omitempty"`
-	Fallback bool   `json:"fallback,omitempty"`
-	// N is the system dimension.
-	N int `json:"n"`
-	// Iterations, Residual, Converged are the solver's own final story.
-	Iterations int     `json:"iterations"`
-	Residual   float64 `json:"residual"`
-	Converged  bool    `json:"converged"`
-	// Termination classifies the exit: converged, maxiter, cancelled,
-	// stagnated, or error. Empty when the solve never reached the
-	// iteration loop.
-	Termination string `json:"termination,omitempty"`
+	SolveOutcome
 	// CondEst estimates κ(M⁻¹A) — the condition number of the
 	// preconditioned operator — from the Lanczos tridiagonal the CG α/β
 	// define. 0 means no estimate (direct method, zero-iteration solve).
@@ -109,12 +118,12 @@ type SolveRecord struct {
 	Truncated bool      `json:"coeffs_truncated,omitempty"`
 }
 
-// SolveRecorder captures one solve in flight. Obtain one from
-// SolveBuffer.StartSolveRecord, hand it to the solver via
-// CGOptions.Rec, and Commit it when the solve returns — on every path;
-// the obscontract analyzer enforces the pairing. All methods are
-// nil-safe, so an absent recorder costs the solver two nil checks per
-// iteration and nothing else.
+// SolveRecorder captures the trajectory of one solve in flight. Obtain
+// one from SolveBuffer.StartSolveRecord, hand it to the solver via
+// CGOptions.Rec, and Commit it with the solve's outcome once the solve
+// returns — on every path; the obscontract analyzer enforces the
+// pairing. All methods are nil-safe, so an absent recorder costs the
+// solver two nil checks per iteration and nothing else.
 //
 // A recorder is single-solve, single-goroutine state: it allocates its
 // buffers once at Start (one backing array sliced into views) and never
@@ -146,26 +155,6 @@ func (b *SolveBuffer) StartSolveRecord() *SolveRecorder {
 	r.alphas = backing[SolveResidualCap : SolveResidualCap : SolveResidualCap+SolveCoeffCap]
 	r.betas = backing[SolveResidualCap+SolveCoeffCap : SolveResidualCap+SolveCoeffCap]
 	return r
-}
-
-// Begin stamps the system dimension at the start of the solve. No-op on
-// nil.
-func (r *SolveRecorder) Begin(n int) {
-	if r == nil {
-		return
-	}
-	r.rec.N = n
-}
-
-// SetSolver stamps the method and preconditioner identity, including a
-// setup-time fallback substitution. No-op on nil.
-func (r *SolveRecorder) SetSolver(method, precond string, fallback bool) {
-	if r == nil {
-		return
-	}
-	r.rec.Method = method
-	r.rec.Precond = precond
-	r.rec.Fallback = fallback
 }
 
 // SetTrace links the record to a request trace. No-op on nil.
@@ -236,28 +225,15 @@ func (r *SolveRecorder) RecordBeta(beta float64) {
 	}
 }
 
-// Finish stamps the solve's final stats and classifies the termination:
-// a maxiter exit whose best residual is at least stagnationWindow
-// iterations old becomes stagnated. No-op on nil.
-func (r *SolveRecorder) Finish(iterations int, residual float64, converged bool, termination string) {
-	if r == nil {
-		return
-	}
-	r.rec.Iterations = iterations
-	r.rec.Residual = residual
-	r.rec.Converged = converged
-	if termination == TermMaxIter && r.sinceBest >= stagnationWindow {
-		termination = TermStagnated
-	}
-	r.rec.Termination = termination
-}
-
-// Commit finalizes the record — snapshots the captured buffers, computes
-// the condition estimate, assigns the record ID — adds it to the buffer,
-// and returns it. Only the first Commit takes effect; later calls return
-// the committed record without re-adding it. Returns the zero record on
-// nil.
-func (r *SolveRecorder) Commit() SolveRecord {
+// Commit finalizes the record with the solve's outcome — classifying a
+// maxiter exit whose best residual is at least stagnationWindow
+// iterations old as stagnated, snapshotting the captured buffers,
+// computing the condition estimate, assigning the record ID — adds it
+// to the buffer, and returns it. Call it after the solve returns, with
+// the outcome the solver reported. Only the first Commit takes effect;
+// later calls return the committed record without re-adding it. Returns
+// the zero record on nil.
+func (r *SolveRecorder) Commit(o SolveOutcome) SolveRecord {
 	if r == nil {
 		return SolveRecord{}
 	}
@@ -266,6 +242,10 @@ func (r *SolveRecorder) Commit() SolveRecord {
 	}
 	r.done = true
 	rec := r.rec
+	rec.SolveOutcome = o
+	if o.Termination == TermMaxIter && r.sinceBest >= stagnationWindow {
+		rec.Termination = TermStagnated
+	}
 	rec.CondEst = CondFromLanczos(r.alphas, r.betas)
 	rec.ResidualStride = r.stride
 	nr, na := len(r.residuals), len(r.alphas)
@@ -394,13 +374,12 @@ func sturmNegcount(d, e []float64, x float64) int {
 // for concurrent use; nil disables retention (and recording — see
 // StartSolveRecord).
 type SolveBuffer struct {
-	// IterHist and CondHist, when non-nil, receive every committed
-	// record's iteration count and condition estimate (the latter only
-	// when an estimate exists). The serving layer points these at
-	// deterministic registry histograms so the convergence distribution
-	// reaches /metrics and the Prometheus exposition. Set before first
+	// CondHist, when non-nil, receives every committed record's
+	// condition estimate (when one exists). The serving layer points it
+	// at a deterministic registry histogram so the κ distribution reaches
+	// /metrics and the Prometheus exposition; iteration counts already
+	// reach the registry as solve.<method>.iterations. Set before first
 	// use.
-	IterHist *Histogram
 	CondHist *Histogram
 
 	mu     sync.Mutex
@@ -427,7 +406,6 @@ func (b *SolveBuffer) Add(rec SolveRecord) {
 	if b == nil {
 		return
 	}
-	b.IterHist.Observe(float64(rec.Iterations))
 	if rec.CondEst > 0 {
 		b.CondHist.Observe(rec.CondEst)
 	}

@@ -13,14 +13,11 @@ func TestSolveRecorderNilSafe(t *testing.T) {
 	if r != nil {
 		t.Fatalf("nil buffer must hand out a nil recorder, got %v", r)
 	}
-	r.Begin(10)
-	r.SetSolver("cg-ic0", "ic0", false)
 	r.SetTrace("t-1")
 	r.Warm(1.5)
 	r.RecordIter(0.5, 1e-3)
 	r.RecordBeta(0.25)
-	r.Finish(1, 1e-3, true, TermConverged)
-	if rec := r.Commit(); rec.ID != "" {
+	if rec := r.Commit(SolveOutcome{Method: "cg-ic0", N: 10, Iterations: 1, Termination: TermConverged}); rec.ID != "" {
 		t.Fatalf("nil recorder Commit must return the zero record, got %+v", rec)
 	}
 	b.Add(SolveRecord{})
@@ -35,22 +32,22 @@ func TestSolveRecorderNilSafe(t *testing.T) {
 func TestSolveRecorderBasicCommit(t *testing.T) {
 	b := NewSolveBuffer(4)
 	r := b.StartSolveRecord()
-	r.Begin(100)
-	r.SetSolver("cg-ic0", "ic0", true)
 	r.SetTrace("trace-abc")
 	r.Warm(2.0)
 	r.RecordIter(0.5, 1e-1)
 	r.RecordBeta(0.25)
 	r.RecordIter(0.4, 1e-9)
-	r.Finish(2, 1e-9, true, TermConverged)
-	rec := r.Commit()
-
-	if rec.ID == "" || rec.TraceID != "trace-abc" || rec.Method != "cg-ic0" ||
-		rec.Precond != "ic0" || !rec.Fallback || rec.N != 100 {
-		t.Fatalf("identity fields wrong: %+v", rec)
+	out := SolveOutcome{
+		Method: "cg-ic0", Precond: "ic0", Fallback: true, N: 100,
+		Iterations: 2, Residual: 1e-9, Converged: true, Termination: TermConverged,
 	}
-	if rec.Iterations != 2 || rec.Residual != 1e-9 || !rec.Converged || rec.Termination != TermConverged {
-		t.Fatalf("final stats wrong: %+v", rec)
+	rec := r.Commit(out)
+
+	if rec.ID == "" || rec.TraceID != "trace-abc" {
+		t.Fatalf("record identity wrong: %+v", rec)
+	}
+	if rec.SolveOutcome != out {
+		t.Fatalf("committed outcome %+v, want the solver's %+v", rec.SolveOutcome, out)
 	}
 	if !rec.Warm || rec.WarmSeedNorm != 2.0 {
 		t.Fatalf("warm fields wrong: %+v", rec)
@@ -70,8 +67,8 @@ func TestSolveRecorderBasicCommit(t *testing.T) {
 
 	// Commit is idempotent: the second call returns the same record and
 	// does not re-add to the buffer.
-	rec2 := r.Commit()
-	if rec2.ID != rec.ID {
+	rec2 := r.Commit(SolveOutcome{Method: "other"})
+	if rec2.ID != rec.ID || rec2.Method != out.Method {
 		t.Fatalf("second Commit returned a different record: %q vs %q", rec2.ID, rec.ID)
 	}
 	if _, _, added := b.Snapshot(); added != 1 {
@@ -84,17 +81,40 @@ func TestSolveRecorderBasicCommit(t *testing.T) {
 	}
 }
 
+// TestSolveRecordJSONSchema pins the /debug/solves wire format (DESIGN.md
+// §5i): the outcome fields SolveRecord shares with the solver's stats
+// through the embedded SolveOutcome serialize inline, in the schema's
+// field order.
+func TestSolveRecordJSONSchema(t *testing.T) {
+	rec := SolveRecord{
+		ID: "s-7", TraceID: "0123456789abcdef",
+		SolveOutcome: SolveOutcome{
+			Method: "cg-ic0", Precond: "jacobi", Fallback: true, N: 256,
+			Iterations: 42, Residual: 1e-9, Converged: true, Termination: TermConverged,
+		},
+		CondEst: 31.5, Warm: true, WarmSeedNorm: 2.5,
+		ResidualStride: 2, Residuals: []float64{0.5, 1e-9},
+		Alphas: []float64{0.5}, Betas: []float64{0.25}, Truncated: true,
+	}
+	got, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"solve_id":"s-7","trace_id":"0123456789abcdef","method":"cg-ic0","precond":"jacobi","fallback":true,"n":256,"iterations":42,"residual":1e-9,"converged":true,"termination":"converged","cond_est":31.5,"warm":true,"warm_seed_norm":2.5,"residual_stride":2,"residuals":[0.5,1e-9],"alphas":[0.5],"betas":[0.25],"coeffs_truncated":true}`
+	if string(got) != want {
+		t.Fatalf("SolveRecord JSON changed:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestSolveRecorderDecimation(t *testing.T) {
 	b := NewSolveBuffer(1)
 	r := b.StartSolveRecord()
-	r.Begin(10)
 	const iters = 5000
 	for i := 0; i < iters; i++ {
 		r.RecordIter(0.5, 1.0/float64(i+1))
 		r.RecordBeta(0.25)
 	}
-	r.Finish(iters, 1.0/iters, false, TermMaxIter)
-	rec := r.Commit()
+	rec := r.Commit(SolveOutcome{N: 10, Iterations: iters, Residual: 1.0 / iters, Termination: TermMaxIter})
 
 	if len(rec.Residuals) > SolveResidualCap {
 		t.Fatalf("residual history %d exceeds cap %d", len(rec.Residuals), SolveResidualCap)
@@ -118,14 +138,12 @@ func TestSolveRecorderAllocs(t *testing.T) {
 	b := NewSolveBuffer(8)
 	allocs := testing.AllocsPerRun(20, func() {
 		r := b.StartSolveRecord()
-		r.Begin(100)
-		r.SetSolver("cg-amg", "amg", false)
 		for i := 0; i < 400; i++ {
 			r.RecordIter(0.5, 1.0/float64(i+1))
 			r.RecordBeta(0.25)
 		}
-		r.Finish(400, 1.0/400, true, TermConverged)
-		r.Commit()
+		r.Commit(SolveOutcome{Method: "cg-amg", Precond: "amg", N: 100,
+			Iterations: 400, Residual: 1.0 / 400, Converged: true, Termination: TermConverged})
 	})
 	// Recorder struct + backing array at Start; snapshot + cond scratch +
 	// ID string at Commit; buffer growth is amortized away by reuse.
@@ -139,37 +157,31 @@ func TestSolveRecorderStagnation(t *testing.T) {
 	// stagnated.
 	b := NewSolveBuffer(1)
 	r := b.StartSolveRecord()
-	r.Begin(10)
 	for i := 0; i < 20; i++ {
 		r.RecordIter(0.5, 1.0/float64(i+1)) // improving
 	}
 	for i := 0; i < stagnationWindow+5; i++ {
 		r.RecordIter(0.5, 0.1) // flat
 	}
-	r.Finish(20+stagnationWindow+5, 0.1, false, TermMaxIter)
-	if rec := r.Commit(); rec.Termination != TermStagnated {
+	if rec := r.Commit(SolveOutcome{Iterations: 20 + stagnationWindow + 5, Residual: 0.1, Termination: TermMaxIter}); rec.Termination != TermStagnated {
 		t.Fatalf("termination = %q, want %q", rec.Termination, TermStagnated)
 	}
 
 	// Still improving at the budget → plain maxiter.
 	r2 := b.StartSolveRecord()
-	r2.Begin(10)
 	for i := 0; i < 200; i++ {
 		r2.RecordIter(0.5, 1.0/float64(i+1))
 	}
-	r2.Finish(200, 1.0/200, false, TermMaxIter)
-	if rec := r2.Commit(); rec.Termination != TermMaxIter {
+	if rec := r2.Commit(SolveOutcome{Iterations: 200, Residual: 1.0 / 200, Termination: TermMaxIter}); rec.Termination != TermMaxIter {
 		t.Fatalf("termination = %q, want %q", rec.Termination, TermMaxIter)
 	}
 
 	// Converged exits never reclassify.
 	r3 := b.StartSolveRecord()
-	r3.Begin(10)
 	for i := 0; i < stagnationWindow+5; i++ {
 		r3.RecordIter(0.5, 0.1)
 	}
-	r3.Finish(stagnationWindow+5, 1e-9, true, TermConverged)
-	if rec := r3.Commit(); rec.Termination != TermConverged {
+	if rec := r3.Commit(SolveOutcome{Iterations: stagnationWindow + 5, Residual: 1e-9, Converged: true, Termination: TermConverged}); rec.Termination != TermConverged {
 		t.Fatalf("termination = %q, want %q", rec.Termination, TermConverged)
 	}
 }
@@ -180,7 +192,7 @@ func TestSolveBufferRetention(t *testing.T) {
 	// the recent set (the last three added).
 	iters := []int{10, 90, 20, 80, 30, 70, 40}
 	for i, n := range iters {
-		b.Add(SolveRecord{ID: fmt.Sprintf("s-%d", i+1), Iterations: n})
+		b.Add(SolveRecord{ID: fmt.Sprintf("s-%d", i+1), SolveOutcome: SolveOutcome{Iterations: n}})
 	}
 	recent, worst, added := b.Snapshot()
 	if added != int64(len(iters)) {
@@ -210,9 +222,9 @@ func ids(recs []SolveRecord) []string {
 
 func TestSolveBufferFind(t *testing.T) {
 	b := NewSolveBuffer(2)
-	b.Add(SolveRecord{ID: "s-1", TraceID: "tr-a", Iterations: 5})
-	b.Add(SolveRecord{ID: "s-2", TraceID: "tr-a", Iterations: 9})
-	b.Add(SolveRecord{ID: "s-3", TraceID: "tr-b", Iterations: 1})
+	b.Add(SolveRecord{ID: "s-1", TraceID: "tr-a", SolveOutcome: SolveOutcome{Iterations: 5}})
+	b.Add(SolveRecord{ID: "s-2", TraceID: "tr-a", SolveOutcome: SolveOutcome{Iterations: 9}})
+	b.Add(SolveRecord{ID: "s-3", TraceID: "tr-b", SolveOutcome: SolveOutcome{Iterations: 1}})
 
 	if rec, ok := b.Find("s-2"); !ok || rec.Iterations != 9 {
 		t.Fatalf("Find(s-2) = %+v, %v", rec, ok)
@@ -234,13 +246,9 @@ func TestSolveBufferFind(t *testing.T) {
 func TestSolveBufferHistograms(t *testing.T) {
 	reg := NewRegistry()
 	b := NewSolveBuffer(2)
-	b.IterHist = reg.Histogram("solve.iterations", []float64{10, 100})
 	b.CondHist = reg.Histogram("solve.cond_est", []float64{10, 1000})
-	b.Add(SolveRecord{ID: "s-1", Iterations: 50, CondEst: 500})
-	b.Add(SolveRecord{ID: "s-2", Iterations: 5}) // no estimate
-	if n := b.IterHist.Count(); n != 2 {
-		t.Fatalf("iteration histogram count = %d, want 2", n)
-	}
+	b.Add(SolveRecord{ID: "s-1", CondEst: 500})
+	b.Add(SolveRecord{ID: "s-2"}) // no estimate
 	if n := b.CondHist.Count(); n != 1 {
 		t.Fatalf("cond histogram count = %d, want 1 (zero estimates skipped)", n)
 	}

@@ -108,12 +108,10 @@ func (m *Model) reorderedMatrix() *sparse.CSR {
 // once per (method, workers) pair and shared across right-hand sides and
 // goroutines.
 func (m *Model) Solve(rhs []float64, opt solve.Options) ([]float64, solve.CGStats, error) {
-	defer m.obs.Timer("rmesh.solve_time").Start()()
 	s, err := m.Solver(opt)
 	if err != nil {
 		return nil, solve.CGStats{}, err
 	}
-	m.obs.Counter("rmesh.solves").Add(1)
 	return s.Solve(rhs, opt.CGOptions)
 }
 

@@ -22,16 +22,12 @@ import (
 // what keep scrape series stable across deploys.
 var latencyBoundsMS = []float64{0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
 
-// solveIterBounds and solveCondBounds are the fixed bucket bounds of the
-// per-solve iteration-count and condition-estimate histograms
-// ("serve.solve.iterations" / "serve.solve.cond_est"). Iterations span
-// warm-start zero-iteration hits through stalled runs; condition
-// estimates are log-spaced across the well-conditioned-to-pathological
-// range the corpus produces.
-var (
-	solveIterBounds = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
-	solveCondBounds = []float64{1, 3, 10, 30, 100, 300, 1e3, 3e3, 1e4, 3e4, 1e5, 1e6}
-)
+// solveCondBounds are the fixed bucket bounds of the per-solve
+// condition-estimate histogram ("serve.solve.cond_est"), log-spaced
+// across the well-conditioned-to-pathological range the corpus
+// produces. Iteration counts need no serve-side histogram: the solve
+// layer observes them as solve.<method>.iterations in the same registry.
+var solveCondBounds = []float64{1, 3, 10, 30, 100, 300, 1e3, 3e3, 1e4, 3e4, 1e5, 1e6}
 
 // trackedStatuses are the response codes carrying their own counter;
 // anything else lands in status_other.

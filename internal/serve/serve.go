@@ -98,10 +98,6 @@ type Config struct {
 	// recent and N worst-by-iterations solve records); <= 0 selects
 	// obs.DefaultSolveBufferCap.
 	SolveBufSize int
-	// DisableSolveRecords turns off the solve flight recorder: solves run
-	// with a nil recorder (their no-op path), /debug/solves serves empty
-	// lists, and the iterations/condition histograms stay at zero.
-	DisableSolveRecords bool
 
 	// Log receives one structured access record per request; nil
 	// disables access logging.
@@ -183,15 +179,12 @@ func New(cfg Config) *Server {
 	s.rejectedDraining = s.reg.Counter("serve.admission.rejected_draining")
 
 	s.traces = obs.NewTraceBuffer(cfg.TraceBufSize)
-	if !cfg.DisableSolveRecords {
-		// Solve iteration counts and condition estimates are deterministic
-		// for one workload (the recorded shapes are worker-count-
-		// independent by the solver contract), so these histograms join
-		// the deterministic snapshot — unlike the wall-clock latency ones.
-		s.solves = obs.NewSolveBuffer(cfg.SolveBufSize)
-		s.solves.IterHist = s.reg.Histogram("serve.solve.iterations", solveIterBounds)
-		s.solves.CondHist = s.reg.Histogram("serve.solve.cond_est", solveCondBounds)
-	}
+	// Condition estimates are deterministic for one workload (the
+	// recorded shapes are worker-count-independent by the solver
+	// contract), so this histogram joins the deterministic snapshot —
+	// unlike the wall-clock latency ones.
+	s.solves = obs.NewSolveBuffer(cfg.SolveBufSize)
+	s.solves.CondHist = s.reg.Histogram("serve.solve.cond_est", solveCondBounds)
 	s.log = cfg.Log
 	s.ep = map[string]*epMetrics{
 		"analyze": newEPMetrics(s.reg, "analyze"),

@@ -66,25 +66,6 @@ func TestDebugSolvesEndpoint(t *testing.T) {
 	}
 }
 
-func TestDebugSolvesDisabled(t *testing.T) {
-	s, ts := newTestServer(t, Config{DisableSolveRecords: true})
-	post(t, ts.URL+"/v1/analyze", goodQuery)
-	resp, body := getBody(t, ts.URL+"/debug/solves")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 with recording disabled", resp.StatusCode)
-	}
-	var b debugSolvesBody
-	if err := json.Unmarshal(body, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Added != 0 || len(b.Recent) != 0 || len(b.Worst) != 0 {
-		t.Fatalf("records retained with recording disabled: %s", body)
-	}
-	if _, ok := s.reg.Snapshot().Histograms["serve.solve.iterations"]; ok {
-		t.Error("solve histograms registered with recording disabled")
-	}
-}
-
 // paperBenches are the four packaging configurations of the source paper
 // — the workload the worker-count determinism contract is pinned on.
 var paperBenches = []string{"ddr3-off", "ddr3-on", "wideio", "hmc"}
@@ -132,15 +113,16 @@ func TestSolveRecordShapeWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestSolveHistogramsDeterministic: the iteration and condition-estimate
-// histograms carry worker-count-independent values, so they must survive
-// Deterministic() (unlike the wall-clock latency histograms) and reach
-// the Prometheus exposition.
+// TestSolveHistogramsDeterministic: the solve layer's iteration histogram
+// and the serve layer's condition-estimate histogram carry
+// worker-count-independent values, so they must survive Deterministic()
+// (unlike the wall-clock latency histograms) and reach the Prometheus
+// exposition.
 func TestSolveHistogramsDeterministic(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	post(t, ts.URL+"/v1/analyze", goodQuery)
 	det := s.reg.Snapshot().Deterministic()
-	for _, name := range []string{"serve.solve.iterations", "serve.solve.cond_est"} {
+	for _, name := range []string{"solve.cg-ic0.iterations", "serve.solve.cond_est"} {
 		h, ok := det.Histograms[name]
 		if !ok {
 			t.Fatalf("deterministic snapshot missing %q", name)
@@ -151,8 +133,8 @@ func TestSolveHistogramsDeterministic(t *testing.T) {
 	}
 	prom := string(s.reg.PromText())
 	for _, want := range []string{
-		"# TYPE serve_solve_iterations histogram",
-		"serve_solve_iterations_bucket",
+		"# TYPE solve_cg_ic0_iterations histogram",
+		"solve_cg_ic0_iterations_bucket",
 		"# TYPE serve_solve_cond_est histogram",
 		"serve_solve_cond_est_bucket",
 	} {

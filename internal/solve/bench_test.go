@@ -77,7 +77,7 @@ func BenchmarkCG_AMG_Recorded(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rec := buf.StartSolveRecord()
 				_, st, err := s.Solve(rhs, CGOptions{Tol: 1e-8, Rec: rec})
-				rec.Commit()
+				rec.Commit(st.SolveOutcome)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -33,12 +33,6 @@ type CGOptions struct {
 	// convergence. Cancellation never changes the values a completed
 	// solve returns.
 	Cancel func() error
-	// Span, when non-nil, is the request-trace span covering this solve:
-	// the CG core annotates it with the iteration count, final relative
-	// residual, and convergence outcome, so per-request traces attribute
-	// latency to solver work. The caller owns the span's End. Tracing
-	// never changes the values a solve returns.
-	Span *obs.TraceSpan
 	// X0, when non-nil, warm-starts the iteration from the given guess
 	// instead of the zero vector — the payoff when consecutive solves
 	// differ only slightly (a value sweep over one topology, or adjacent
@@ -48,30 +42,51 @@ type CGOptions struct {
 	// byte-identical outputs must leave X0 nil. Direct methods ignore it.
 	X0 []float64
 	// Rec, when non-nil, is the flight recorder for this solve: the CG
-	// core feeds it the per-iteration α/β coefficients and residual
-	// trajectory and classifies the termination; the registry solvers
-	// stamp the method and preconditioner identity. The caller owns the
-	// recorder's Commit (enforced by the obscontract analyzer). Recording
-	// never changes the values a solve returns, and nothing recorded is
-	// wall-clock-derived — the captured shapes are identical for any
-	// worker count.
+	// core feeds it the per-iteration α/β coefficients, the residual
+	// trajectory and the warm-start seed norm. The caller owns the
+	// recorder's Commit with the returned CGStats (enforced by the
+	// obscontract analyzer). Recording never changes the values a solve
+	// returns, and nothing recorded is wall-clock-derived — the captured
+	// shapes are identical for any worker count.
 	Rec *obs.SolveRecorder
 }
 
-// CGStats reports how a solve went.
+// CGStats is the single per-solve outcome: every Solver.Solve returns it
+// fully populated on every path — converged, maxiter, cancelled, error —
+// and the trace span (Attrs), the solve.<method>.* registry metrics and
+// the committed flight record are all derived from it.
 type CGStats struct {
-	Iterations int
-	Residual   float64 // final relative residual
-	Converged  bool
-	// Precond names the preconditioner that actually ran ("ic0",
-	// "jacobi", "amg"; empty for direct methods and for callers driving
-	// the CG core directly). It is set by the registry solvers and by
-	// PCG — not inside the CG core — so a solve that silently swapped
-	// preconditioners at setup is visible to traces and the diff harness.
-	Precond string
-	// Fallback reports that the method's preferred preconditioner broke
-	// down at setup and a substitute ran instead (IC(0) → Jacobi).
-	Fallback bool
+	// SolveOutcome carries the identity (Method, the preconditioner that
+	// actually ran, and whether IC(0) fell back to Jacobi at setup), the
+	// system dimension, the iteration count, final relative residual,
+	// convergence flag and termination class. The CG core fills the
+	// iteration story; the registry solver stamps the identity.
+	obs.SolveOutcome
+	// Warm reports that the solve started from a caller-supplied guess
+	// (CGOptions.X0) rather than zero.
+	Warm bool
+}
+
+// Attrs renders the stats as trace-span attributes, so a caller holding
+// the span covering a solve annotates it once after the solve returns.
+// precond is omitted for direct methods; precond_fallback and warm
+// appear only when true.
+func (st CGStats) Attrs() []obs.Attr {
+	attrs := []obs.Attr{
+		obs.A("iterations", st.Iterations),
+		obs.A("residual", st.Residual),
+		obs.A("converged", st.Converged),
+	}
+	if st.Precond != "" {
+		attrs = append(attrs, obs.A("precond", st.Precond))
+	}
+	if st.Fallback {
+		attrs = append(attrs, obs.A("precond_fallback", true))
+	}
+	if st.Warm {
+		attrs = append(attrs, obs.A("warm", true))
+	}
+	return attrs
 }
 
 // DegenerateDiagonalError reports a zero, negative, NaN, or missing
@@ -135,25 +150,22 @@ func invDiag(a *sparse.CSR) ([]float64, error) {
 // Apply computes z = diag(A)⁻¹ · r.
 func (j *Jacobi) Apply(z, r []float64) { hadamard(z, j.invD, r) }
 
-// CG solves A·x = b for SPD A with Jacobi (diagonal) preconditioning and
-// returns the solution with convergence statistics. A zero right-hand side
-// short-circuits to the zero vector.
-func CG(a *sparse.CSR, b []float64, opt CGOptions) ([]float64, CGStats, error) {
-	pre, err := NewJacobi(a)
-	if err != nil {
-		return nil, CGStats{}, err
-	}
-	return pcg(a, pre, b, opt, kernels{workers: 1})
-}
-
 // pcg is the shared preconditioned conjugate-gradient core behind every
 // CG-family solver. The residual norm for the convergence check is
 // accumulated in the same pass that updates the residual (k.axpyNormSq)
-// rather than recomputed with a separate sweep.
+// rather than recomputed with a separate sweep. It fills the iteration
+// story of the returned CGStats (N, Iterations, Residual, Converged,
+// Termination, Warm) on every exit; the solver identity is the caller's
+// to stamp.
 func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions, k kernels) ([]float64, CGStats, error) {
 	n := a.N
+	stats := CGStats{Warm: opt.X0 != nil}
+	stats.N = n
+	// Structural failures (a dimension mismatch, a non-SPD breakdown)
+	// exit with this default; every other exit sets its own class.
+	stats.Termination = obs.TermError
 	if len(b) != n {
-		return nil, CGStats{}, fmt.Errorf("solve: rhs length %d != matrix dim %d", len(b), n)
+		return nil, stats, fmt.Errorf("solve: rhs length %d != matrix dim %d", len(b), n)
 	}
 	tol := opt.Tol
 	if tol <= 0 {
@@ -164,36 +176,11 @@ func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions, k kernel
 		maxIter = 10 * n
 	}
 
-	stats := CGStats{}
-	termination := obs.TermError
-	if opt.Rec != nil {
-		opt.Rec.Begin(n)
-		// Deferred for the same reason as the span annotation below: every
-		// exit leaves the recorder carrying the true final story, and the
-		// recorder upgrades maxiter to stagnated when the residual had
-		// long stopped improving.
-		defer func() {
-			opt.Rec.Finish(stats.Iterations, stats.Residual, stats.Converged, termination)
-		}()
-	}
-	if opt.Span != nil {
-		// Deferred so every exit — converged, exhausted, canceled —
-		// leaves the trace span carrying the true iteration story. The
-		// annotated fields are deterministic for any worker count
-		// (sharded kernels are bit-identical by contract).
-		defer func() {
-			opt.Span.Annotate(
-				obs.A("iterations", stats.Iterations),
-				obs.A("residual", stats.Residual),
-				obs.A("converged", stats.Converged))
-		}()
-	}
-
 	normB := k.norm2(b)
 	x := make([]float64, n)
 	if normB == 0 {
 		stats.Converged = true
-		termination = obs.TermConverged
+		stats.Termination = obs.TermConverged
 		return x, stats, nil
 	}
 
@@ -217,7 +204,7 @@ func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions, k kernel
 		k.xpby(r, -1, b)
 		if stats.Residual = k.norm2(r) / normB; stats.Residual <= tol {
 			stats.Converged = true
-			termination = obs.TermConverged
+			stats.Termination = obs.TermConverged
 			return x, stats, nil
 		}
 	} else {
@@ -233,7 +220,7 @@ func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions, k kernel
 	for it := 0; it < maxIter; it++ {
 		if opt.Cancel != nil {
 			if err := opt.Cancel(); err != nil {
-				termination = obs.TermCancelled
+				stats.Termination = obs.TermCancelled
 				return nil, stats, fmt.Errorf("solve: canceled at iteration %d: %w", it, err)
 			}
 		}
@@ -250,7 +237,7 @@ func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions, k kernel
 		opt.Rec.RecordIter(alpha, stats.Residual)
 		if stats.Residual <= tol {
 			stats.Converged = true
-			termination = obs.TermConverged
+			stats.Termination = obs.TermConverged
 			return x, stats, nil
 		}
 		pre.Apply(z, r)
@@ -260,7 +247,7 @@ func pcg(a *sparse.CSR, pre Preconditioner, b []float64, opt CGOptions, k kernel
 		k.xpby(p, beta, z)
 		opt.Rec.RecordBeta(beta)
 	}
-	termination = obs.TermMaxIter
+	stats.Termination = obs.TermMaxIter
 	return x, stats, fmt.Errorf("%w after %d iterations (residual %.3e, tol %.3e)",
 		ErrNotConverged, stats.Iterations, stats.Residual, tol)
 }

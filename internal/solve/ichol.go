@@ -111,23 +111,6 @@ func (p *ICPreconditioner) Apply(z, r []float64) {
 	}
 }
 
-// PCG solves A·x = b with IC(0) preconditioning. It falls back to the
-// Jacobi-preconditioned CG when the factorization breaks down; the swap is
-// not silent — the returned CGStats carry Precond = "jacobi" and
-// Fallback = true so callers can see which preconditioner actually ran.
-func PCG(a *sparse.CSR, b []float64, opt CGOptions) ([]float64, CGStats, error) {
-	pre, err := NewIC(a)
-	if err != nil {
-		x, st, cgErr := CG(a, b, opt)
-		st.Precond = precondJacobi
-		st.Fallback = true
-		return x, st, cgErr
-	}
-	x, st, err := PCGWith(a, pre, b, opt)
-	st.Precond = precondIC0
-	return x, st, err
-}
-
 // PCGWith runs preconditioned CG with a previously-built preconditioner —
 // the fast path when many right-hand sides share one matrix (LUT builds,
 // design-space sampling).

@@ -43,14 +43,20 @@ func newSolverMetrics(r *obs.Registry, method string) solverMetrics {
 	}
 }
 
-// record books one finished solve. The residual gauge holds the maximum
-// over all solves — order-independent, so deterministic under concurrency.
-func (m solverMetrics) record(st CGStats, err error) {
+// record books one finished solve from its stats — the only place the
+// per-solve registry metrics are observed; every registry solver calls
+// it once at the end of Solve, on every path. The residual gauge holds
+// the maximum over all solves — order-independent, so deterministic
+// under concurrency.
+func (m solverMetrics) record(st CGStats) {
 	m.solves.Add(1)
+	if st.Warm {
+		m.warmStarts.Add(1)
+	}
 	m.iterations.Add(int64(st.Iterations))
 	m.iterHist.Observe(float64(st.Iterations))
 	m.residual.SetMax(st.Residual)
-	if err != nil {
+	if st.Termination != obs.TermConverged {
 		m.errors.Add(1)
 	}
 }

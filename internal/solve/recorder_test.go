@@ -20,7 +20,7 @@ func recordedSolve(t *testing.T, method string, rhs []float64, opt CGOptions) (C
 	rec := buf.StartSolveRecord()
 	opt.Rec = rec
 	_, stats, serr := s.Solve(rhs, opt)
-	return stats, rec.Commit(), serr
+	return stats, rec.Commit(stats.SolveOutcome), serr
 }
 
 func benchRHS(n int) []float64 {
@@ -98,11 +98,14 @@ func TestRecorderStagnatedSolve(t *testing.T) {
 	a := grid2D(16, 16)
 	buf := obs.NewSolveBuffer(1)
 	rec := buf.StartSolveRecord()
-	_, _, err := pcg(a, &thrashPre{}, benchRHS(a.N), CGOptions{Tol: 1e-10, MaxIter: 1000, Rec: rec}, kernels{workers: 1})
+	_, st, err := pcg(a, &thrashPre{}, benchRHS(a.N), CGOptions{Tol: 1e-10, MaxIter: 1000, Rec: rec}, kernels{workers: 1})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("err = %v, want ErrNotConverged", err)
 	}
-	if r := rec.Commit(); r.Termination != obs.TermStagnated {
+	if st.Termination != obs.TermMaxIter {
+		t.Fatalf("stats termination = %q, want maxiter (the record alone classifies stagnation)", st.Termination)
+	}
+	if r := rec.Commit(st.SolveOutcome); r.Termination != obs.TermStagnated {
 		t.Fatalf("termination = %q, want stagnated (residual oscillating at its floor)", r.Termination)
 	}
 }
@@ -145,10 +148,11 @@ func TestRecorderWarmStart(t *testing.T) {
 	}
 	buf := obs.NewSolveBuffer(1)
 	rec := buf.StartSolveRecord()
-	if _, _, err := s.Solve(rhs, CGOptions{Tol: 1e-10, X0: x, Rec: rec}); err != nil {
+	_, st, err := s.Solve(rhs, CGOptions{Tol: 1e-10, X0: x, Rec: rec})
+	if err != nil {
 		t.Fatal(err)
 	}
-	r := rec.Commit()
+	r := rec.Commit(st.SolveOutcome)
 	if !r.Warm || r.WarmSeedNorm <= 0 {
 		t.Fatalf("warm fields: %+v", r)
 	}
@@ -185,10 +189,11 @@ func TestRecorderShapeWorkerIndependent(t *testing.T) {
 		}
 		buf := obs.NewSolveBuffer(1)
 		rec := buf.StartSolveRecord()
-		if _, _, err := s.Solve(benchRHS(a.N), CGOptions{Tol: 1e-10, Rec: rec}); err != nil {
+		_, st, err := s.Solve(benchRHS(a.N), CGOptions{Tol: 1e-10, Rec: rec})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return rec.Commit()
+		return rec.Commit(st.SolveOutcome)
 	}
 	r1, r8 := run(1), run(8)
 	if r1.Iterations != r8.Iterations || r1.Residual != r8.Residual || r1.CondEst != r8.CondEst {

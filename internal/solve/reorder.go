@@ -3,6 +3,7 @@ package solve
 import (
 	"fmt"
 
+	"pdn3d/internal/obs"
 	"pdn3d/internal/sparse"
 )
 
@@ -29,14 +30,18 @@ func (s *reordered) Method() string { return s.inner.Method() }
 
 func (s *reordered) Solve(b []float64, opt CGOptions) ([]float64, CGStats, error) {
 	n := len(s.perm)
+	// A length mismatch fails before the inner solver runs; its stats
+	// still name the method, dimension and error class.
+	failed := CGStats{Warm: opt.X0 != nil}
+	failed.Method, failed.N, failed.Termination = s.inner.Method(), n, obs.TermError
 	if len(b) != n {
-		return nil, CGStats{}, fmt.Errorf("solve: rhs length %d != permutation length %d", len(b), n)
+		return nil, failed, fmt.Errorf("solve: rhs length %d != permutation length %d", len(b), n)
 	}
 	pb := make([]float64, n)
 	sparse.PermuteVec(pb, b, s.perm)
 	if opt.X0 != nil {
 		if len(opt.X0) != n {
-			return nil, CGStats{}, fmt.Errorf("solve: warm-start guess length %d != permutation length %d", len(opt.X0), n)
+			return nil, failed, fmt.Errorf("solve: warm-start guess length %d != permutation length %d", len(opt.X0), n)
 		}
 		px := make([]float64, n)
 		sparse.PermuteVec(px, opt.X0, s.perm)

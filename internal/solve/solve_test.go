@@ -36,6 +36,17 @@ func randomSPD(n int, rng *rand.Rand) *sparse.CSR {
 	return b.Compress()
 }
 
+// solveOnce builds the registry solver for method on a and runs one
+// solve; a setup failure (a degenerate diagonal) is returned as the solve
+// error.
+func solveOnce(method string, a *sparse.CSR, b []float64, opt CGOptions) ([]float64, CGStats, error) {
+	s, err := New(a, Options{Method: method, Workers: 1})
+	if err != nil {
+		return nil, CGStats{}, err
+	}
+	return s.Solve(b, opt)
+}
+
 func TestCGSolvesLadderExactly(t *testing.T) {
 	// Ladder with unit current injected at the far end: voltage drop
 	// accumulates 1/g per segment plus 1/gTie at the tie.
@@ -44,7 +55,7 @@ func TestCGSolvesLadderExactly(t *testing.T) {
 	a := ladder(n, g, gTie)
 	rhs := make([]float64, n)
 	rhs[n-1] = 1 // 1 A into the last node
-	x, st, err := CG(a, rhs, CGOptions{})
+	x, st, err := solveOnce(MethodCGJacobi, a, rhs, CGOptions{})
 	if err != nil {
 		t.Fatalf("CG: %v", err)
 	}
@@ -61,7 +72,7 @@ func TestCGSolvesLadderExactly(t *testing.T) {
 
 func TestCGZeroRHS(t *testing.T) {
 	a := ladder(5, 1, 1)
-	x, st, err := CG(a, make([]float64, 5), CGOptions{})
+	x, st, err := solveOnce(MethodCGJacobi, a, make([]float64, 5), CGOptions{})
 	if err != nil || !st.Converged {
 		t.Fatalf("zero rhs: err=%v converged=%v", err, st.Converged)
 	}
@@ -77,7 +88,7 @@ func TestCGZeroRHS(t *testing.T) {
 
 func TestCGDimensionMismatch(t *testing.T) {
 	a := ladder(5, 1, 1)
-	if _, _, err := CG(a, make([]float64, 4), CGOptions{}); err == nil {
+	if _, _, err := solveOnce(MethodCGJacobi, a, make([]float64, 4), CGOptions{}); err == nil {
 		t.Error("want dimension error")
 	}
 }
@@ -90,7 +101,7 @@ func TestCGRejectsSingular(t *testing.T) {
 	// node 2 isolated: zero diagonal
 	a := b.Compress()
 	rhs := []float64{1, -1, 0}
-	if _, _, err := CG(a, rhs, CGOptions{MaxIter: 50}); err == nil {
+	if _, _, err := solveOnce(MethodCGJacobi, a, rhs, CGOptions{MaxIter: 50}); err == nil {
 		t.Error("want error for singular system")
 	}
 }
@@ -102,7 +113,7 @@ func TestCGNotConvergedError(t *testing.T) {
 	for i := range rhs {
 		rhs[i] = rng.NormFloat64()
 	}
-	_, _, err := CG(a, rhs, CGOptions{MaxIter: 1, Tol: 1e-14})
+	_, _, err := solveOnce(MethodCGJacobi, a, rhs, CGOptions{MaxIter: 1, Tol: 1e-14})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Errorf("err = %v, want ErrNotConverged", err)
 	}
@@ -121,7 +132,7 @@ func TestCholeskyMatchesCG(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DenseSolve: %v", err)
 		}
-		xg, _, err := CG(a, rhs, CGOptions{Tol: 1e-12})
+		xg, _, err := solveOnce(MethodCGJacobi, a, rhs, CGOptions{Tol: 1e-12})
 		if err != nil {
 			t.Fatalf("CG: %v", err)
 		}
@@ -205,8 +216,8 @@ func TestMoreMetalNeverRaisesVoltage(t *testing.T) {
 		for i := range rhs {
 			rhs[i] = rng.Float64() // non-negative loads
 		}
-		xb, _, err1 := CG(base.Compress(), rhs, CGOptions{Tol: 1e-12})
-		xe, _, err2 := CG(extra.Compress(), rhs, CGOptions{Tol: 1e-12})
+		xb, _, err1 := solveOnce(MethodCGJacobi, base.Compress(), rhs, CGOptions{Tol: 1e-12})
+		xe, _, err2 := solveOnce(MethodCGJacobi, extra.Compress(), rhs, CGOptions{Tol: 1e-12})
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -231,11 +242,11 @@ func TestPCGMatchesCG(t *testing.T) {
 		for i := range rhs {
 			rhs[i] = rng.NormFloat64()
 		}
-		xp, sp, err := PCG(a, rhs, CGOptions{Tol: 1e-11})
+		xp, sp, err := solveOnce(MethodCGIC0, a, rhs, CGOptions{Tol: 1e-11})
 		if err != nil {
 			t.Fatalf("PCG: %v", err)
 		}
-		xc, sc, err := CG(a, rhs, CGOptions{Tol: 1e-11})
+		xc, sc, err := solveOnce(MethodCGJacobi, a, rhs, CGOptions{Tol: 1e-11})
 		if err != nil {
 			t.Fatalf("CG: %v", err)
 		}
@@ -269,11 +280,11 @@ func TestPCGConvergesFasterOnMesh(t *testing.T) {
 	a := b.Compress()
 	rhs := make([]float64, a.N)
 	rhs[a.N-1] = 0.1
-	_, sCG, err := CG(a, rhs, CGOptions{Tol: 1e-10})
+	_, sCG, err := solveOnce(MethodCGJacobi, a, rhs, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sPCG, err := PCG(a, rhs, CGOptions{Tol: 1e-10})
+	_, sPCG, err := solveOnce(MethodCGIC0, a, rhs, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +334,7 @@ func TestCGCancel(t *testing.T) {
 
 	cause := errors.New("deadline exceeded")
 	calls := 0
-	_, stats, err := CG(a, b, CGOptions{Cancel: func() error {
+	_, stats, err := solveOnce(MethodCGJacobi, a, b, CGOptions{Cancel: func() error {
 		calls++
 		if calls > 3 {
 			return cause
@@ -338,11 +349,11 @@ func TestCGCancel(t *testing.T) {
 	}
 
 	// A cancel hook that never fires must not perturb the solution.
-	plain, _, err := CG(a, b, CGOptions{})
+	plain, _, err := solveOnce(MethodCGJacobi, a, b, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooked, _, err := CG(a, b, CGOptions{Cancel: func() error { return nil }})
+	hooked, _, err := solveOnce(MethodCGJacobi, a, b, CGOptions{Cancel: func() error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,8 +129,8 @@ func init() {
 		return newCGSolver(MethodCGJacobi, a, pre, opt, m, precondJacobi, false), nil
 	})
 	Register(MethodCGIC0, func(a *sparse.CSR, opt Options) (Solver, error) {
-		// IC(0) of an SPD matrix can still break down; mirror the PCG
-		// fallback and degrade to Jacobi scaling. The swap is recorded in
+		// IC(0) of an SPD matrix can still break down; degrade to Jacobi
+		// scaling. The swap is recorded in
 		// the solve.ic_fallbacks counter and in every CGStats this solver
 		// returns — a silent preconditioner substitution once hid solver
 		// regressions from traces and the diff harness.
@@ -198,25 +198,11 @@ func newCGSolver(method string, a *sparse.CSR, pre Preconditioner, opt Options, 
 func (s *cgSolver) Method() string { return s.method }
 
 func (s *cgSolver) Solve(b []float64, opt CGOptions) ([]float64, CGStats, error) {
-	if opt.X0 != nil {
-		s.m.warmStarts.Add(1)
-	}
-	// Stamp the solver identity before the solve so even a cancelled or
-	// failed record names the method and the preconditioner that really
-	// ran (fallback included).
-	opt.Rec.SetSolver(s.method, s.precond, s.fallback)
 	stop := s.m.solveTime.Start()
 	x, stats, err := pcg(s.a, s.pre, b, opt, s.k)
 	stop()
-	stats.Precond = s.precond
-	stats.Fallback = s.fallback
-	if opt.Span != nil {
-		opt.Span.Annotate(obs.A("precond", s.precond))
-		if s.fallback {
-			opt.Span.Annotate(obs.A("precond_fallback", true))
-		}
-	}
-	s.m.record(stats, err)
+	stats.Method, stats.Precond, stats.Fallback = s.method, s.precond, s.fallback
+	s.m.record(stats)
 	return x, stats, err
 }
 
@@ -231,38 +217,44 @@ type cholSolver struct {
 func (s *cholSolver) Method() string { return MethodCholesky }
 
 func (s *cholSolver) Solve(b []float64, opt CGOptions) ([]float64, CGStats, error) {
+	stop := s.m.solveTime.Start()
+	x, stats, err := s.solve(b, opt)
+	stop()
+	s.m.record(stats)
+	return x, stats, err
+}
+
+// solve is the direct solve behind Solve. A recorded direct solve
+// carries no iteration trajectory and no condition estimate — just the
+// outcome.
+func (s *cholSolver) solve(b []float64, opt CGOptions) ([]float64, CGStats, error) {
+	var stats CGStats
+	stats.Method = MethodCholesky
+	stats.N = s.a.N
 	// A direct factorization gains nothing from a starting guess, so
 	// opt.X0 is ignored — exact solves are trivially "warm".
 	// The dense triangular solves have no iteration boundary to poll, so
-	// cancellation is honored only before the work starts. A recorded
-	// direct solve carries no iteration trajectory and no condition
-	// estimate — just identity, residual, and termination.
-	opt.Rec.Begin(s.a.N)
-	opt.Rec.SetSolver(MethodCholesky, "", false)
+	// cancellation is honored only before the work starts.
 	if opt.Cancel != nil {
 		if err := opt.Cancel(); err != nil {
-			opt.Rec.Finish(0, 0, false, obs.TermCancelled)
-			return nil, CGStats{}, fmt.Errorf("solve: canceled: %w", err)
+			stats.Termination = obs.TermCancelled
+			return nil, stats, fmt.Errorf("solve: canceled: %w", err)
 		}
 	}
-	stop := s.m.solveTime.Start()
 	x, err := s.c.Solve(b)
-	stop()
 	if err != nil {
-		s.m.record(CGStats{}, err)
-		opt.Rec.Finish(0, 0, false, obs.TermError)
-		return nil, CGStats{}, err
+		stats.Termination = obs.TermError
+		return nil, stats, err
 	}
 	// Report the true relative residual so direct solves carry honest
 	// stats; one SpMV is noise next to the O(n³) factorization.
-	stats := CGStats{Converged: true}
+	stats.Converged = true
+	stats.Termination = obs.TermConverged
 	if normB := s.k.norm2(b); normB > 0 {
 		r := make([]float64, s.a.N)
 		s.k.mulVec(s.a, r, x)
 		s.k.axpy(r, -1, b)
 		stats.Residual = s.k.norm2(r) / normB
 	}
-	s.m.record(stats, nil)
-	opt.Rec.Finish(0, stats.Residual, true, obs.TermConverged)
 	return x, stats, nil
 }

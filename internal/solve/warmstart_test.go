@@ -16,7 +16,7 @@ func warmSystem(t *testing.T) ([]float64, []float64) {
 	b := make([]float64, a.N)
 	b[a.N-1] = 1
 	b[a.N/2] = 0.5
-	x, st, err := CG(a, b, CGOptions{Tol: 1e-10})
+	x, st, err := solveOnce(MethodCGJacobi, a, b, CGOptions{Tol: 1e-10})
 	if err != nil || !st.Converged {
 		t.Fatalf("cold reference solve: %v (converged=%v)", err, st.Converged)
 	}
@@ -31,11 +31,11 @@ func TestWarmStartZeroGuessMatchesColdBitwise(t *testing.T) {
 	a := grid2D(20, 20)
 	b := make([]float64, a.N)
 	b[a.N-1] = 1
-	cold, cst, err := CG(a, b, CGOptions{Tol: 1e-10})
+	cold, cst, err := solveOnce(MethodCGJacobi, a, b, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, wst, err := CG(a, b, CGOptions{Tol: 1e-10, X0: make([]float64, a.N)})
+	warm, wst, err := solveOnce(MethodCGJacobi, a, b, CGOptions{Tol: 1e-10, X0: make([]float64, a.N)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestWarmStartZeroGuessMatchesColdBitwise(t *testing.T) {
 func TestWarmStartExactGuessConvergesImmediately(t *testing.T) {
 	a := grid2D(20, 20)
 	b, x := warmSystem(t)
-	got, st, err := CG(a, b, CGOptions{Tol: 1e-9, X0: x})
+	got, st, err := solveOnce(MethodCGJacobi, a, b, CGOptions{Tol: 1e-9, X0: x})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +80,11 @@ func TestWarmStartNearbyGuessConvergesFaster(t *testing.T) {
 		guess[i] = x[i] * (1 + 1e-6*float64(i%7))
 	}
 	copy(saved, guess)
-	_, cold, err := CG(a, b, CGOptions{Tol: 1e-10})
+	_, cold, err := solveOnce(MethodCGJacobi, a, b, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, warm, err := CG(a, b, CGOptions{Tol: 1e-10, X0: guess})
+	got, warm, err := solveOnce(MethodCGJacobi, a, b, CGOptions{Tol: 1e-10, X0: guess})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestWarmStartNearbyGuessConvergesFaster(t *testing.T) {
 	}
 	// Same tolerance: the warm answer matches the cold trajectory's answer
 	// to solver accuracy even though the float paths differ.
-	coldX, _, err := CG(a, b, CGOptions{Tol: 1e-10})
+	coldX, _, err := solveOnce(MethodCGJacobi, a, b, CGOptions{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestWarmStartLengthMismatch(t *testing.T) {
 	a := grid2D(4, 4)
 	b := make([]float64, a.N)
 	b[0] = 1
-	if _, _, err := CG(a, b, CGOptions{X0: make([]float64, a.N-1)}); err == nil {
+	if _, _, err := solveOnce(MethodCGJacobi, a, b, CGOptions{X0: make([]float64, a.N-1)}); err == nil {
 		t.Error("want error for short X0")
 	}
 }
@@ -192,7 +192,7 @@ func TestWarmStartCancelPublishesNothing(t *testing.T) {
 		}
 		return nil
 	}
-	got, _, err := CG(a, b, CGOptions{Tol: 1e-12, X0: guess, Cancel: cancel})
+	got, _, err := solveOnce(MethodCGJacobi, a, b, CGOptions{Tol: 1e-12, X0: guess, Cancel: cancel})
 	if !errors.Is(err, stop) {
 		t.Fatalf("err = %v, want wrapped cancellation cause", err)
 	}
