@@ -58,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("fitted regression models from %d R-Mesh samples in %.1fs (worst RMSE %.4f log-mV, worst R^2 %.5f)\n",
-		o.SolveCount(), time.Since(start).Seconds(), o.FitRMSE, o.FitR2)
+		o.FitSolves, time.Since(start).Seconds(), o.FitRMSE, o.FitR2)
 
 	t := &report.Table{
 		Title:  fmt.Sprintf("best options for %s (IR-cost = IR^a x Cost^(1-a))", b.Name),

@@ -28,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%d R-Mesh solves; worst fit: RMSE %.4f (log-mV), R^2 %.5f\n\n",
-		o.SolveCount(), o.FitRMSE, o.FitR2)
+		o.FitSolves, o.FitRMSE, o.FitR2)
 
 	fmt.Printf("%-6s %-52s %10s %10s %6s\n", "alpha", "best configuration", "model(mV)", "rmesh(mV)", "cost")
 	for _, alpha := range []float64{0, 0.1, 0.3, 0.5, 0.7, 1.0} {

@@ -15,6 +15,7 @@ import (
 	"pdn3d/internal/memctrl"
 	"pdn3d/internal/memstate"
 	"pdn3d/internal/obs"
+	"pdn3d/internal/opt"
 	"pdn3d/internal/par"
 	"pdn3d/internal/pdn"
 	"pdn3d/internal/powermap"
@@ -56,14 +57,17 @@ type Config struct {
 //   - results: analysis results by (design, state, io), reported under
 //     "irdrop.result_cache.*". Look-up-table builds go through it too.
 //   - luts: look-up tables per design.
+//   - optimizers: one co-optimizer per benchmark, models fitted, shared
+//     by Table 9 and the regression study.
 type Runner struct {
 	Cfg Config
 
-	topos     par.Group[*rmesh.Topology]
-	analyzers par.Group[*irdrop.Analyzer]
-	results   par.Group[*irdrop.Result]
-	luts      par.Group[*lut.Table]
-	sweeps    *obs.SweepMetrics
+	topos      par.Group[*rmesh.Topology]
+	analyzers  par.Group[*irdrop.Analyzer]
+	results    par.Group[*irdrop.Result]
+	luts       par.Group[*lut.Table]
+	optimizers par.Group[*opt.Optimizer]
+	sweeps     *obs.SweepMetrics
 }
 
 // NewRunner returns a Runner with the given fidelity configuration.
@@ -79,6 +83,8 @@ func NewRunner(cfg Config) *Runner {
 	r.results.Misses = reg.Counter("irdrop.result_cache.misses")
 	r.luts.Hits = reg.Counter("exp.lut_cache.hits")
 	r.luts.Misses = reg.Counter("exp.lut_cache.misses")
+	r.optimizers.Hits = reg.Counter("exp.optimizer_cache.hits")
+	r.optimizers.Misses = reg.Counter("exp.optimizer_cache.misses")
 	return r
 }
 

@@ -6,6 +6,8 @@
 // rejects
 //
 //   - writes to fields of a frozen value (x.f = v, x.f += v, x.f++),
+//   - writes through a frozen value's pointer-typed fields (*x.p = v,
+//     x.p.g = v),
 //   - element writes through a frozen value's slices, whether reached
 //     via a field (x.col[i] = v) or a slice-returning method
 //     (s := x.Rows(); s[0] = v),
@@ -13,10 +15,14 @@
 //     one into a struct field, map/slice element, or package variable
 //     aliases internals the frozen contract says nobody else mutates.
 //
-// The one exception is construction: a value the current function
-// freshly created (x := &T{...}, new(T), or a composite literal) may be
+// Two exceptions. Construction: a value the current function freshly
+// created (x := &T{...}, new(T), or a composite literal) may be
 // populated field by field before it is published — the builder pattern
-// sparse.Builder.Freeze and rmesh build on. The frozen marker travels
+// sparse.Builder.Freeze and rmesh build on. Lazy initialization: writes
+// inside the function literal of x.once.Do(func() { ... }), where once
+// is a sync.Once field of the same frozen value x, happen exactly once
+// and are published by the Once to every later reader, so the value
+// still looks immutable from outside. The frozen marker travels
 // as a fact on the type's object, so packages that only import the type
 // see the same contract the declaring package declared.
 package frozenmut
@@ -33,9 +39,9 @@ import (
 // Analyzer is the frozenmut check.
 var Analyzer = &analysis.Analyzer{
 	Name: "frozenmut",
-	Doc: "flags mutation of //pdnlint:frozen types: field writes, element " +
-		"writes through their slices, and retention of their internal " +
-		"slices outside the declaring package",
+	Doc: "flags mutation of //pdnlint:frozen types: field writes, writes " +
+		"through their pointer fields, element writes through their slices, " +
+		"and retention of their internal slices outside the declaring package",
 	Run:       run,
 	UsesFacts: true,
 }
@@ -135,18 +141,19 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 	info := pass.TypesInfo
 	fresh := freshLocals(info, fn.Body)
 	views := frozenViews(pass, fn.Body, fresh)
+	inits := onceInits(pass, fn.Body)
 
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				checkWrite(pass, lhs, fresh, views)
+				checkWrite(pass, lhs, fresh, views, inits)
 			}
 			if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
 				checkRetention(pass, n, fresh)
 			}
 		case *ast.IncDecStmt:
-			checkWrite(pass, n.X, fresh, views)
+			checkWrite(pass, n.X, fresh, views, inits)
 		case *ast.UnaryExpr:
 			// &x.f on a frozen value is not a write, but taking the
 			// address of a field is the doorway to one; leave reads and
@@ -197,6 +204,74 @@ func freshLocals(info *types.Info, body ast.Node) map[types.Object]bool {
 		return true
 	})
 	return fresh
+}
+
+// onceInit is the function literal of an x.once.Do(func() { ... }) call
+// on a frozen value x whose once field is a sync.Once.
+type onceInit struct {
+	lit   *ast.FuncLit
+	owner ast.Expr // x
+}
+
+// onceInits collects the lazy-initialization blocks in body: calls
+// x.f.Do(func() { ... }) where x is frozen and f is a sync.Once field.
+func onceInits(pass *analysis.Pass, body ast.Node) []onceInit {
+	info := pass.TypesInfo
+	var out []onceInit
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 1 {
+			return true
+		}
+		lit, ok := ast.Unparen(call.Args[0]).(*ast.FuncLit)
+		do, ok2 := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || !ok2 || do.Sel.Name != "Do" {
+			return true
+		}
+		once, ok := ast.Unparen(do.X).(*ast.SelectorExpr)
+		if !ok || !isSyncOnce(info.Types[once].Type) {
+			return true
+		}
+		if sel, ok := info.Selections[once]; ok && sel.Kind() == types.FieldVal && frozenName(pass, info.Types[once.X].Type) != nil {
+			out = append(out, onceInit{lit: lit, owner: once.X})
+		}
+		return true
+	})
+	return out
+}
+
+func isSyncOnce(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Once" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
+}
+
+// inOnceInit reports whether a write at pos into frozen value x sits
+// inside a lazy-initialization block on x's own once field.
+func inOnceInit(info *types.Info, inits []onceInit, x ast.Expr, pos token.Pos) bool {
+	for _, in := range inits {
+		if in.lit.Pos() <= pos && pos < in.lit.End() && sameValue(info, in.owner, x) {
+			return true
+		}
+	}
+	return false
+}
+
+// sameValue reports whether a and b name the same variable, or the same
+// field path from it (t, t.topo, ...).
+func sameValue(info *types.Info, a, b ast.Expr) bool {
+	switch a := ast.Unparen(a).(type) {
+	case *ast.Ident:
+		b, ok := ast.Unparen(b).(*ast.Ident)
+		return ok && info.Uses[a] != nil && info.Uses[a] == info.Uses[b]
+	case *ast.SelectorExpr:
+		b, ok := ast.Unparen(b).(*ast.SelectorExpr)
+		return ok && info.Uses[a.Sel] == info.Uses[b.Sel] && sameValue(info, a.X, b.X)
+	}
+	return false
 }
 
 func funIdent(call *ast.CallExpr) *ast.Ident {
@@ -291,32 +366,65 @@ func isFreshExpr(info *types.Info, e ast.Expr, fresh map[types.Object]bool) bool
 	}
 }
 
+// frozenField returns the frozen type owning field selector e (x.f on a
+// frozen x this function did not construct) and the selector, else nils.
+func frozenField(pass *analysis.Pass, e ast.Expr, fresh map[types.Object]bool) (*types.TypeName, *ast.SelectorExpr) {
+	info := pass.TypesInfo
+	x, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return nil, nil
+	}
+	if sel, ok := info.Selections[x]; !ok || sel.Kind() != types.FieldVal {
+		return nil, nil
+	}
+	owner := frozenName(pass, info.Types[x.X].Type)
+	if owner == nil || isFreshExpr(info, x.X, fresh) {
+		return nil, nil
+	}
+	return owner, x
+}
+
+// reportPtrField reports a write through e when e is a pointer-typed
+// field of a frozen value: the pointee belongs to the value as much as
+// its direct fields do.
+func reportPtrField(pass *analysis.Pass, at ast.Node, e ast.Expr, fresh map[types.Object]bool, inits []onceInit) {
+	owner, x := frozenField(pass, e, fresh)
+	if owner == nil || inOnceInit(pass.TypesInfo, inits, x.X, at.Pos()) {
+		return
+	}
+	if _, ptr := pass.TypesInfo.Types[x].Type.Underlying().(*types.Pointer); ptr {
+		pass.Reportf(at.Pos(), "write through pointer field %s of frozen type %s; values are immutable after construction",
+			x.Sel.Name, owner.Name())
+	}
+}
+
 // checkWrite reports a mutation if lhs writes into a frozen value.
-func checkWrite(pass *analysis.Pass, lhs ast.Expr, fresh map[types.Object]bool, views map[types.Object]*types.TypeName) {
+func checkWrite(pass *analysis.Pass, lhs ast.Expr, fresh map[types.Object]bool, views map[types.Object]*types.TypeName, inits []onceInit) {
 	info := pass.TypesInfo
 	switch lhs := ast.Unparen(lhs).(type) {
+	case *ast.StarExpr:
+		// *x.p = v
+		reportPtrField(pass, lhs, lhs.X, fresh, inits)
 	case *ast.SelectorExpr:
-		sel, ok := info.Selections[lhs]
-		if !ok || sel.Kind() != types.FieldVal {
+		owner, _ := frozenField(pass, lhs, fresh)
+		if owner == nil {
+			// x.p.g = v: an implicit dereference of pointer field p.
+			reportPtrField(pass, lhs, lhs.X, fresh, inits)
 			return
 		}
-		owner := frozenName(pass, info.Types[lhs.X].Type)
-		if owner == nil || isFreshExpr(info, lhs.X, fresh) {
+		if inOnceInit(info, inits, lhs.X, lhs.Pos()) {
 			return
 		}
 		pass.Reportf(lhs.Pos(), "write to field %s of frozen type %s; values are immutable after construction",
 			lhs.Sel.Name, owner.Name())
 	case *ast.IndexExpr:
 		// x.col[i] = v — element write through a frozen value's field.
-		if selX, ok := ast.Unparen(lhs.X).(*ast.SelectorExpr); ok {
-			if sel, ok := info.Selections[selX]; ok && sel.Kind() == types.FieldVal {
-				owner := frozenName(pass, info.Types[selX.X].Type)
-				if owner != nil && !isFreshExpr(info, selX.X, fresh) {
-					pass.Reportf(lhs.Pos(), "element write through field %s of frozen type %s",
-						selX.Sel.Name, owner.Name())
-					return
-				}
+		if owner, x := frozenField(pass, lhs.X, fresh); owner != nil {
+			if !inOnceInit(info, inits, x.X, lhs.Pos()) {
+				pass.Reportf(lhs.Pos(), "element write through field %s of frozen type %s",
+					x.Sel.Name, owner.Name())
 			}
+			return
 		}
 		// s[i] = v where s aliases frozen internals.
 		if id, ok := ast.Unparen(lhs.X).(*ast.Ident); ok {

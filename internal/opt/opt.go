@@ -10,7 +10,6 @@ package opt
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"pdn3d/internal/bench3d"
 	"pdn3d/internal/cost"
@@ -78,6 +77,12 @@ type combo struct {
 	WB bool
 }
 
+// candidate is the design point of the combo at the given continuous
+// coordinates.
+func (c combo) candidate(m2, m3 float64, tc int) Candidate {
+	return Candidate{M2: m2, M3: m3, TC: tc, TL: c.TL, TD: c.TD, BD: c.BD, RL: c.RL, WB: c.WB}
+}
+
 func (c combo) key() string {
 	return fmt.Sprintf("%s|%v|%s|%v|%v", c.TL, c.TD, c.BD, c.RL, c.WB)
 }
@@ -109,12 +114,11 @@ type Optimizer struct {
 	// FitRMSE and FitR2 summarize the worst fit across combos, the
 	// figures the paper quotes (RMSE < 0.135, R² > 0.999).
 	FitRMSE, FitR2 float64
-
-	solves atomic.Int64
+	// FitSolves counts the R-Mesh solves FitModels spent sampling. Best
+	// and Baseline report their own verification solves in
+	// Result.Solves, so this stays fixed once the models are fitted.
+	FitSolves int
 }
-
-// SolveCount reports the R-Mesh evaluations spent on sampling so far.
-func (o *Optimizer) SolveCount() int { return int(o.solves.Load()) }
 
 func (o *Optimizer) costModel() *cost.Model {
 	if o.Cost != nil {
@@ -169,25 +173,46 @@ func (o *Optimizer) combos() []combo {
 }
 
 // measure runs the R-Mesh on one candidate and returns its worst-case max
-// IR in mV. The worst state differs by bonding (§5.1): F2B peaks at
-// 0-0-0-2 with full I/O, while F2F's PDN sharing makes the intra-pair
-// overlapping 0-0-2-2 state (50 % I/O per die) the worst case; both states
-// are evaluated and the maximum taken.
-func (o *Optimizer) measure(c Candidate) (float64, error) {
+// IR in mV and the solves spent (see worstIR).
+func (o *Optimizer) measure(c Candidate) (float64, int, error) {
+	a, err := o.analyzer(c)
+	if err != nil {
+		return 0, 0, err
+	}
+	return o.worstIR(a)
+}
+
+// spec is the R-Mesh design of candidate c.
+func (o *Optimizer) spec(c Candidate) *pdn.Spec {
 	spec := c.Apply(o.Bench.Spec)
 	if o.MeshPitch > 0 {
 		spec.MeshPitch = o.MeshPitch
 	}
-	var logic = o.Bench.LogicPower
+	return spec
+}
+
+// analyzer fully builds the R-Mesh of candidate c.
+func (o *Optimizer) analyzer(c Candidate) (*irdrop.Analyzer, error) {
+	spec := o.spec(c)
+	logic := o.Bench.LogicPower
 	if !spec.OnLogic {
 		logic = nil
 	}
 	a, err := irdrop.NewObs(spec, o.Bench.DRAMPower, logic, o.Obs)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	a.Opts.Method = o.Solver
-	n := spec.NumDRAM
+	return a, nil
+}
+
+// worstIR returns the worst-case max IR in mV of a's design and the
+// number of solves it took. The worst state differs by bonding (§5.1):
+// F2B peaks at 0-0-0-2 with full I/O, while F2F's PDN sharing makes the
+// intra-pair overlapping 0-0-2-2 state (50 % I/O per die) the worst
+// case; both states are evaluated and the maximum taken.
+func (o *Optimizer) worstIR(a *irdrop.Analyzer) (float64, int, error) {
+	n := a.Spec().NumDRAM
 	worst := 0.0
 	states := [][]int{topDie(n, 2)}
 	ios := []float64{o.Bench.DefaultIO}
@@ -198,14 +223,13 @@ func (o *Optimizer) measure(c Candidate) (float64, error) {
 	for i, counts := range states {
 		r, err := a.AnalyzeCounts(counts, ios[i])
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		o.solves.Add(1)
 		if r.MaxIRmV() > worst {
 			worst = r.MaxIRmV()
 		}
 	}
-	return worst, nil
+	return worst, len(states), nil
 }
 
 func topDie(n, banks int) []int {
@@ -261,21 +285,21 @@ func (o *Optimizer) FitModels() error {
 
 	combos := o.combos()
 	fits := make([]*regress.Fit, len(combos))
+	solves := make([]int, len(combos))
 	err := par.Sweep(o.Workers, len(combos), func(ci int) error {
 		cb := combos[ci]
-		var samples []regress.Sample
+		irs, ns, err := o.sampleCombo(cb, m2s, m3s, tcs)
+		if err != nil {
+			return err
+		}
+		// irs is in (m2, m3, tc) order, the order this nest appends in.
+		samples := make([]regress.Sample, 0, len(irs))
 		for _, m2 := range m2s {
 			for _, m3 := range m3s {
 				for _, tc := range tcs {
-					cand := Candidate{M2: m2, M3: m3, TC: tc,
-						TL: cb.TL, TD: cb.TD, BD: cb.BD, RL: cb.RL, WB: cb.WB}
-					ir, err := o.measure(cand)
-					if err != nil {
-						return fmt.Errorf("opt: sampling %v: %w", cand, err)
-					}
 					samples = append(samples, regress.Sample{
 						X: features(m2, m3, tc),
-						Y: math.Log(ir),
+						Y: math.Log(irs[len(samples)]),
 					})
 				}
 			}
@@ -284,7 +308,7 @@ func (o *Optimizer) FitModels() error {
 		if err != nil {
 			return fmt.Errorf("opt: fitting combo %s: %w", cb.key(), err)
 		}
-		fits[ci] = fit
+		fits[ci], solves[ci] = fit, ns
 		return nil
 	})
 	if err != nil {
@@ -293,12 +317,11 @@ func (o *Optimizer) FitModels() error {
 	o.fits = map[string]*regress.Fit{}
 	o.FitRMSE = 0
 	o.FitR2 = 1
+	o.FitSolves = 0
 	for ci, cb := range combos {
 		fit := fits[ci]
 		o.fits[cb.key()] = fit
-		// Track worst-case quality in mV-comparable units: convert the
-		// log-space RMSE to a relative error and scale by the combo's
-		// median response.
+		o.FitSolves += solves[ci]
 		if fit.RMSE > o.FitRMSE {
 			o.FitRMSE = fit.RMSE
 		}
@@ -307,6 +330,42 @@ func (o *Optimizer) FitModels() error {
 		}
 	}
 	return nil
+}
+
+// sampleCombo measures the worst-case IR of every (m2, m3, tc) sample of
+// one combo, returned in (m2, m3, tc) order, and the solves spent. It
+// walks TSV counts outermost: the M2×M3 samples of one TSV count differ
+// only in metal-usage magnitudes, so they share a mesh topology, and
+// each TSV count pays one full build while its other samples restamp
+// that model in place. A restamp is bit-identical to a full build
+// (rmesh §5f), so the measured IRs are too.
+func (o *Optimizer) sampleCombo(cb combo, m2s, m3s []float64, tcs []int) ([]float64, int, error) {
+	irs := make([]float64, len(m2s)*len(m3s)*len(tcs))
+	solves := 0
+	for k, tc := range tcs {
+		var a *irdrop.Analyzer
+		for i, m2 := range m2s {
+			for j, m3 := range m3s {
+				cand := cb.candidate(m2, m3, tc)
+				var err error
+				if a == nil {
+					a, err = o.analyzer(cand)
+				} else {
+					err = a.Model.Restamp(o.spec(cand))
+				}
+				if err != nil {
+					return nil, 0, fmt.Errorf("opt: sampling %v: %w", cand, err)
+				}
+				ir, n, err := o.worstIR(a)
+				if err != nil {
+					return nil, 0, fmt.Errorf("opt: sampling %v: %w", cand, err)
+				}
+				irs[(i*len(m3s)+j)*len(tcs)+k] = ir
+				solves += n
+			}
+		}
+	}
+	return irs, solves, nil
 }
 
 // tcSamples picks TSV-count samples, geometrically spaced because the IR
@@ -357,6 +416,8 @@ type Result struct {
 	MeasIRmV float64
 	// Cost is the Table 8 cost.
 	Cost float64
+	// Solves counts the R-Mesh solves spent measuring MeasIRmV.
+	Solves int
 }
 
 // Best searches the whole design space with the fitted models for the
@@ -382,8 +443,7 @@ func (o *Optimizer) Best(alpha float64) (*Result, error) {
 		for _, m2 := range m2s {
 			for _, m3 := range m3s {
 				for _, tc := range tcs {
-					cand := Candidate{M2: m2, M3: m3, TC: tc,
-						TL: cb.TL, TD: cb.TD, BD: cb.BD, RL: cb.RL, WB: cb.WB}
+					cand := cb.candidate(m2, m3, tc)
 					irMV := math.Exp(fit.Predict(features(m2, m3, tc)))
 					c, err := cm.Total(cand.Apply(o.Bench.Spec))
 					if err != nil {
@@ -400,11 +460,11 @@ func (o *Optimizer) Best(alpha float64) (*Result, error) {
 			}
 		}
 	}
-	meas, err := o.measure(best.Cand)
+	meas, solves, err := o.measure(best.Cand)
 	if err != nil {
 		return nil, err
 	}
-	best.MeasIRmV = meas
+	best.MeasIRmV, best.Solves = meas, solves
 	return &best, nil
 }
 
@@ -417,7 +477,7 @@ func (o *Optimizer) Baseline() (*Result, error) {
 		TL: s.TSVStyle, TD: s.DedicatedTSV, BD: s.Bonding,
 		RL: s.RDL != pdn.RDLNone, WB: s.WireBond,
 	}
-	meas, err := o.measure(cand)
+	meas, solves, err := o.measure(cand)
 	if err != nil {
 		return nil, err
 	}
@@ -425,5 +485,5 @@ func (o *Optimizer) Baseline() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Cand: cand, PredIRmV: meas, MeasIRmV: meas, Cost: c}, nil
+	return &Result{Cand: cand, PredIRmV: meas, MeasIRmV: meas, Cost: c, Solves: solves}, nil
 }

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"pdn3d/internal/bench3d"
+	"pdn3d/internal/obs"
 	"pdn3d/internal/pdn"
+	"pdn3d/internal/regress"
 )
 
 var (
@@ -166,7 +168,7 @@ func TestFitQualityReported(t *testing.T) {
 	if o.FitR2 < 0.8 || o.FitR2 > 1 {
 		t.Errorf("FitR2 = %g out of plausible range", o.FitR2)
 	}
-	if o.SolveCount() == 0 {
+	if o.FitSolves == 0 {
 		t.Error("no solves recorded")
 	}
 	if o.GridSize() <= 0 {
@@ -188,5 +190,82 @@ func TestBaseline(t *testing.T) {
 	}
 	if res.MeasIRmV < 20 || res.MeasIRmV > 45 {
 		t.Errorf("baseline worst-case IR %.2f mV outside plausible band", res.MeasIRmV)
+	}
+}
+
+// TestRestampSamplesMatchFullBuilds pins FitModels' sampling contract on
+// one combo per paper benchmark: each TSV count pays one full build and
+// restamps it for the other M2×M3 samples, every sample's worst-case IR
+// equals a from-scratch irdrop.NewObs build bit for bit, and so the
+// combo's fitted coefficients, RMSE and R² equal a fit over full builds
+// bit for bit too.
+func TestRestampSamplesMatchFullBuilds(t *testing.T) {
+	bs, err := bench3d.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bs {
+		t.Run(b.Name, func(t *testing.T) {
+			o := &Optimizer{Bench: b, MeshPitch: 0.8}
+			if err := o.FitModels(); err != nil {
+				t.Fatal(err)
+			}
+			sp := b.Space
+			n := o.samplesPerAxis()
+			m2s := axisSamples(sp.M2Range[0], sp.M2Range[1], n)
+			m3s := axisSamples(sp.M3Range[0], sp.M3Range[1], n)
+			tcs := tcSamples(sp.TSVRange, n+1)
+			combos := o.combos()
+			cb := combos[len(combos)-1] // RDL and wire bonding on: the richest mesh
+
+			reg := obs.NewRegistry()
+			o.Obs = reg
+			irs, solves, err := o.sampleCombo(cb, m2s, m3s, tcs)
+			o.Obs = nil
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := reg.Snapshot().Counters
+			if c["rmesh.builds"] != int64(len(tcs)) || c["rmesh.restamps"] != int64(len(tcs)*(len(m2s)*len(m3s)-1)) {
+				t.Errorf("%d builds + %d restamps for %d TSV counts of %d M2×M3 samples, want one build per TSV count",
+					c["rmesh.builds"], c["rmesh.restamps"], len(tcs), len(m2s)*len(m3s))
+			}
+
+			var samples []regress.Sample
+			wantSolves := 0
+			for _, m2 := range m2s {
+				for _, m3 := range m3s {
+					for _, tc := range tcs {
+						cand := cb.candidate(m2, m3, tc)
+						ir, n, err := o.measure(cand)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := irs[len(samples)]; math.Float64bits(got) != math.Float64bits(ir) {
+							t.Errorf("%s: restamped max IR %v mV, full build %v mV", cand, got, ir)
+						}
+						wantSolves += n
+						samples = append(samples, regress.Sample{X: features(m2, m3, tc), Y: math.Log(ir)})
+					}
+				}
+			}
+			if solves != wantSolves {
+				t.Errorf("sampling spent %d solves, full builds %d", solves, wantSolves)
+			}
+			want, err := regress.LeastSquares(samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := o.fits[cb.key()]
+			same := len(got.W) == len(want.W) &&
+				math.Float64bits(got.RMSE) == math.Float64bits(want.RMSE) &&
+				math.Float64bits(got.R2) == math.Float64bits(want.R2)
+			for i := 0; same && i < len(got.W); i++ {
+				same = math.Float64bits(got.W[i]) == math.Float64bits(want.W[i])
+			}
+			if !same {
+				t.Errorf("fit over restamped samples %+v, over full builds %+v", got, want)
+			}
+		})
 	}
 }

@@ -293,24 +293,13 @@ func BuildObs(spec *pdn.Spec, reg *obs.Registry) (*Model, error) {
 	reg.Counter("rmesh.resistors_total").Add(int64(m.Resistors))
 	reg.Histogram("rmesh.nodes", nodeBounds).Observe(float64(m.n))
 
-	// RCM reordering: computed at freeze time so every model over this
-	// topology replays it for free. The permuted pattern shares the raw
-	// stamp stream with the natural-order pattern, so restamps keep both
-	// matrices in sync from one stream.
-	stopPerm := reg.Timer("rmesh.reorder_time").Start()
-	perm := pat.Permutation()
-	permPat := pat.Permute(perm)
-	stopPerm()
-
 	t := &Topology{
-		key:         speckey.Topology(spec),
-		pattern:     pat,
-		n:           m.n,
-		stamps:      b.NNZStamps(),
-		layers:      cloneLayers(m.Layers),
-		logicLoad:   -1,
-		perm:        perm,
-		permPattern: permPat,
+		key:       speckey.Topology(spec),
+		pattern:   pat,
+		n:         m.n,
+		stamps:    b.NNZStamps(),
+		layers:    cloneLayers(m.Layers),
+		logicLoad: -1,
 	}
 	t.dramLoad = make([]int, len(m.dramLoad))
 	for i := range m.Layers {

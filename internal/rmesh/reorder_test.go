@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pdn3d/internal/bench3d"
+	"pdn3d/internal/obs"
 	"pdn3d/internal/rmesh"
 	"pdn3d/internal/solve"
 )
@@ -157,6 +158,62 @@ func TestReorderedMatrixConcurrentFirstUse(t *testing.T) {
 			if math.Float64bits(results[g][i]) != math.Float64bits(results[0][i]) {
 				t.Fatalf("goroutine %d: x[%d] differs", g, i)
 			}
+		}
+	}
+}
+
+// RCM is computed only when a reordering-aware solver asks for it: a
+// build and a natural-order solve (cg-ic0) book no reorder time, and the
+// first cg-amg solves — even concurrent ones from two models sharing the
+// topology — compute it exactly once.
+func TestReorderingIsLazy(t *testing.T) {
+	b, err := bench3d.StackedDDR3Off()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := b.Spec.Clone()
+	spec.MeshPitch = 0.8
+	reg := obs.NewRegistry()
+	m, err := rmesh.BuildObs(spec, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reorders := func() int64 { return reg.Snapshot().Timers["rmesh.reorder_time"].Count }
+	rhs := loadedRHS(t, m, b)
+	if _, _, err := m.Solve(rhs, solve.Options{Method: solve.MethodCGIC0}); err != nil {
+		t.Fatal(err)
+	}
+	if n := reorders(); n != 0 {
+		t.Fatalf("build + cg-ic0 solve computed RCM %d times, want 0", n)
+	}
+
+	m2, err := m.Topology().NewModelObs(spec, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([][]float64, 2)
+	var wg sync.WaitGroup
+	for i, mm := range []*rmesh.Model{m, m2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x, _, err := mm.Solve(rhs, solve.Options{Method: solve.MethodCGAMG, CGOptions: solve.CGOptions{Tol: 1e-11}})
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = x
+		}()
+	}
+	wg.Wait()
+	if results[0] == nil || results[1] == nil {
+		t.Fatal("missing result")
+	}
+	if n := reorders(); n != 1 {
+		t.Errorf("two cg-amg models over one topology computed RCM %d times, want 1", n)
+	}
+	for i := range results[0] {
+		if math.Float64bits(results[0][i]) != math.Float64bits(results[1][i]) {
+			t.Fatalf("x[%d] differs between the built and the restamped model", i)
 		}
 	}
 }

@@ -91,13 +91,16 @@ func (m *Model) Solver(opt solve.Options) (solve.Solver, error) {
 
 // reorderedMatrix materializes the RCM-reordered conductance matrix on
 // first use by scattering the current stamp stream through the topology's
-// permuted pattern. Later restamps keep it in sync (see restamp).
+// permuted pattern (computing that pattern if this is the topology's
+// first reordering-aware use). Later restamps keep it in sync (see
+// restamp).
 func (m *Model) reorderedMatrix() *sparse.CSR {
 	m.permMu.Lock()
 	defer m.permMu.Unlock()
 	if m.permMatrix == nil {
-		pm := m.topo.permPattern.NewCSR()
-		m.topo.permPattern.Scatter(pm.Val, m.stampBuf)
+		_, pp := m.topo.reordering(m.obs)
+		pm := pp.NewCSR()
+		pp.Scatter(pm.Val, m.stampBuf)
 		m.permMatrix = pm
 	}
 	return m.permMatrix

@@ -366,8 +366,7 @@ type AnalyzeResponse struct {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, req *http.Request) {
 	var q query.Query
-	if err := decodeJSON(req, &q); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, req, &q) {
 		return
 	}
 	body, status, err := s.analyzeOne(req.Context(), q)
@@ -521,8 +520,7 @@ type BatchResponse struct {
 
 func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 	var breq BatchRequest
-	if err := decodeJSON(req, &breq); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, req, &breq) {
 		return
 	}
 	if len(breq.Queries) == 0 {
@@ -613,8 +611,7 @@ type LUTResponse struct {
 
 func (s *Server) handleLUT(w http.ResponseWriter, req *http.Request) {
 	var lreq LUTRequest
-	if err := decodeJSON(req, &lreq); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, req, &lreq) {
 		return
 	}
 	r, err := lreq.Query.ResolveDesign()
@@ -735,13 +732,26 @@ func statusFor(err error) int {
 	}
 }
 
-func decodeJSON(req *http.Request, v interface{}) error {
-	dec := json.NewDecoder(req.Body)
+// maxBodyBytes caps a request body. A default-sized batch (256 fully
+// spelled queries) is about 50 KiB, so the cap leaves wide headroom.
+const maxBodyBytes = 1 << 20
+
+// decodeJSON decodes req's body into v. On failure it writes the error
+// envelope — 413 for a body over maxBodyBytes, 400 otherwise — and
+// reports false.
+func decodeJSON(w http.ResponseWriter, req *http.Request, v interface{}) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("serve: bad request body: %w", err)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, fmt.Errorf("serve: bad request body: %w", err))
+		return false
 	}
-	return nil
+	return true
 }
 
 type errBody struct {

@@ -215,6 +215,39 @@ func TestBatchRejectsEmptyAndOversized(t *testing.T) {
 	}
 }
 
+// TestRequestBodyBound checks every JSON endpoint against the body cap:
+// an oversized body is rejected 413 through the error envelope before it
+// is buffered, while ordinary bodies keep their usual status.
+func TestRequestBodyBound(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	huge := `{"bench":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"analyze normal", "/v1/analyze", goodQuery, http.StatusOK},
+		{"analyze malformed", "/v1/analyze", `{"bench":`, http.StatusBadRequest},
+		{"analyze oversized", "/v1/analyze", huge, http.StatusRequestEntityTooLarge},
+		{"batch oversized", "/v1/batch", `{"queries":[` + huge + `]}`, http.StatusRequestEntityTooLarge},
+		{"lut oversized", "/v1/lut", huge, http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, body := post(t, ts.URL+tc.path, tc.body)
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status = %d, want %d (body %.200s)", resp.StatusCode, tc.want, body)
+			}
+			if tc.want == http.StatusOK {
+				return
+			}
+			var e errBody
+			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+				t.Errorf("error body %q is not the error envelope: %v", body, err)
+			}
+		})
+	}
+}
+
 func TestLUTEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := `{"bench":"ddr3-off","max_per_die":1,"io_levels":[1.0],"full":true,"probe":{"state":"0-0-0-1","io":1.0}}`

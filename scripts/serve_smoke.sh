@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Boots pdnserve on a local port, drives one request through every
 # endpoint (analyze, batch, lut, healthz, metrics, debug/requests,
-# debug/solves), and fails on any non-2xx response, a batch item error, a missing
+# debug/solves), and fails on any non-2xx response, an oversized body
+# not refused 413, a batch item error, a missing
 # X-Trace-Id, an unretrievable trace, malformed Prometheus exposition,
 # or a missing structured-log start event. Finishes with a SIGTERM to
 # check the graceful drain path exits cleanly.
@@ -44,6 +45,17 @@ check() {
 check healthz /healthz
 check analyze /v1/analyze '{"bench":"ddr3-off","state":"0-0-0-2","io":1.0}'
 echo "$LAST" | grep -q '"max_ir_mv"' || { echo "analyze response missing max_ir_mv" >&2; exit 1; }
+
+# The request body bound: a /v1/analyze body over the server's 1 MiB
+# cap is refused 413 through the JSON error envelope.
+BIG="$(mktemp)"
+{ printf '{"bench":"'; head -c 1100000 /dev/zero | tr '\0' x; printf '"}'; } >"$BIG"
+STATUS=$(curl -s -o "$BIG.out" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+  --data-binary @"$BIG" "http://$ADDR/v1/analyze")
+[ "$STATUS" = 413 ] || { echo "oversized analyze body: status $STATUS, want 413" >&2; exit 1; }
+grep -q '"error"' "$BIG.out" || { echo "oversized analyze 413 lacks the error envelope: $(head -c 200 "$BIG.out")" >&2; exit 1; }
+rm -f "$BIG" "$BIG.out"
+echo "ok: oversized analyze body -> 413"
 
 check batch /v1/batch '{"queries":[{"bench":"ddr3-off","state":"0-0-0-2","io":1.0},{"bench":"ddr3-off","state":"1-0-1-2","io":0.5}]}'
 echo "$LAST" | grep -q '"failed":0' || { echo "batch reported item failures: $LAST" >&2; exit 1; }
