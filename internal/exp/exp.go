@@ -260,18 +260,25 @@ func (r *Runner) lutFor(spec *pdn.Spec, dram *powermap.DRAMModel, logic *powerma
 	return t, err
 }
 
-// policyRun simulates one (policy, scheduler) pair on a fresh workload.
+// policyRun simulates one (policy, scheduler) pair on b's stack and
+// channels over a fresh workload. It is the runner's only controller
+// entry, so memctrl.simulations and memctrl.simulate_time account for
+// every simulation.
 func (r *Runner) policyRun(b *bench3d.Benchmark, table *lut.Table,
 	policy memctrl.IRPolicy, sched memctrl.Scheduler, irLimitV float64) (*memctrl.Result, error) {
 
 	cfg := memctrl.DefaultConfig(policy, sched, table, irLimitV)
 	cfg.Dies = b.Spec.NumDRAM
 	cfg.BanksPerDie = b.Spec.DRAM.NumBanks
+	cfg.Channels = b.Channels
+	cfg.ChannelOf = b.ChannelOf
 	wl := memctrl.DefaultWorkload(cfg.Dies, cfg.BanksPerDie)
 	wl.Requests = r.requests()
 	reqs, err := memctrl.Generate(wl)
 	if err != nil {
 		return nil, err
 	}
+	r.Cfg.Obs.Counter("memctrl.simulations").Add(1)
+	defer r.Cfg.Obs.Timer("memctrl.simulate_time").Start()()
 	return memctrl.Simulate(cfg, reqs)
 }

@@ -9,12 +9,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"pdn3d/internal/irdrop"
 	"pdn3d/internal/memstate"
 	"pdn3d/internal/par"
+	"pdn3d/internal/units"
 )
 
 // ErrNotCovered is the sentinel every MaxIR miss wraps: the queried
@@ -49,6 +48,10 @@ func notCovered(counts []int, io float64, format string, args ...interface{}) er
 	}
 }
 
+// ioSlack is the tolerance within which an I/O activity matches a covered
+// level.
+const ioSlack = 1e-12
+
 // Table is an immutable IR-drop look-up table.
 type Table struct {
 	// Dies is the DRAM die count of the design.
@@ -59,7 +62,12 @@ type Table struct {
 	// IOLevels are the covered per-die I/O activity levels, ascending.
 	IOLevels []float64
 
-	entries map[string]float64 // key -> max IR in volts
+	// vals is the dense grid of max IR drops in volts, one slot per
+	// (state, level): the count vector read as a base-(MaxPerDie+1)
+	// number, times len(IOLevels), plus the level index. has marks the
+	// slots that hold a stored point.
+	vals []float64
+	has  []bool
 }
 
 // DefaultIOLevels covers the paper's Table 5 activity points. With the
@@ -82,104 +90,164 @@ func Build(a *irdrop.Analyzer, maxPerDie int, ioLevels []float64) (*Table, error
 // points fan out across the pool; the table contents are identical for
 // every worker count.
 func BuildWith(analyze func(counts []int, io float64) (*irdrop.Result, error), dies, maxPerDie int, ioLevels []float64, workers int) (*Table, error) {
-	if maxPerDie < 1 {
-		return nil, fmt.Errorf("lut: maxPerDie %d must be >= 1", maxPerDie)
+	t, err := newTable(dies, maxPerDie, ioLevels)
+	if err != nil {
+		return nil, err
 	}
-	if len(ioLevels) == 0 {
-		return nil, fmt.Errorf("lut: no IO levels")
-	}
-	levels := append([]float64(nil), ioLevels...)
-	sort.Float64s(levels)
-	for _, io := range levels {
-		if io <= 0 || io > 1 {
-			return nil, fmt.Errorf("lut: IO level %g out of (0,1]", io)
-		}
-	}
-	t := &Table{
-		Dies:      dies,
-		MaxPerDie: maxPerDie,
-		IOLevels:  levels,
-		entries:   make(map[string]float64),
-	}
-	// Enumerate all count vectors, then fan the solves out across the
-	// worker pool: analyze is safe for concurrent use, and each design
-	// point writes its own result slot, so no channels or locks are needed.
-	var states [][]int
-	counts := make([]int, dies)
-	var rec func(d int)
-	rec = func(d int) {
-		if d == dies {
-			states = append(states, append([]int(nil), counts...))
-			return
-		}
-		for c := 0; c <= maxPerDie; c++ {
-			counts[d] = c
-			rec(d + 1)
-		}
-		counts[d] = 0
-	}
-	rec(0)
-
-	irs := make([][]float64, len(states))
-	err := par.Sweep(workers, len(states), func(i int) error {
-		irs[i] = make([]float64, len(levels))
-		for li, io := range levels {
+	// EnumerateCounts lists the states in grid order, and each design
+	// point writes its own slot, so the solves fan out across the worker
+	// pool without channels or locks.
+	states := memstate.EnumerateCounts(dies, maxPerDie)
+	nl := len(t.IOLevels)
+	err = par.Sweep(workers, len(states), func(i int) error {
+		for li, io := range t.IOLevels {
 			r, err := analyze(states[i], io)
 			if err != nil {
 				return err
 			}
-			irs[i][li] = r.MaxIR
+			t.vals[i*nl+li] = r.MaxIR
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range states {
-		for li, io := range levels {
-			t.entries[key(c, io)] = irs[i][li]
-		}
+	for i := range t.has {
+		t.has[i] = true
 	}
 	return t, nil
 }
 
 // FromPoints assembles a table from explicit grid points — the inverse of
 // Points — for loading precomputed tables and for tests that need a table
-// with known contents without running solves.
+// with known contents without running solves. Every point must lie on the
+// grid (a point off it is a *NotCoveredError; an I/O off every level is an
+// error too) and appear once.
 func FromPoints(dies, maxPerDie int, ioLevels []float64, pts []Point) (*Table, error) {
+	t, err := newTable(dies, maxPerDie, ioLevels)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range pts {
+		i, err := t.state(p.Counts, p.IO)
+		if err != nil {
+			return nil, err
+		}
+		li := t.level(p.IO)
+		if li < 0 {
+			return nil, fmt.Errorf("lut: point %v@%g is on no IO level %v", p.Counts, p.IO, t.IOLevels)
+		}
+		i = i*len(t.IOLevels) + li
+		if t.has[i] {
+			return nil, fmt.Errorf("lut: duplicate point %v@%g", p.Counts, p.IO)
+		}
+		t.vals[i], t.has[i] = p.MaxIR, true
+	}
+	return t, nil
+}
+
+// MaxSlots bounds the (state, level) slots one table may hold: newTable
+// allocates every slot up front and a build solves each one. It admits
+// every bench's full grid (max per die = banks per die) at the default
+// levels — HMC's 33^4 states × 3 levels is 3.6M slots — and keeps the
+// largest allocation under 40 MB.
+const MaxSlots = 1 << 22
+
+// Levels validates a set of I/O levels and returns them sorted ascending
+// in a new slice. Every level must lie in (0,1] and no two may match
+// within the lookup slack, else a lookup could not tell them apart.
+func Levels(ioLevels []float64) ([]float64, error) {
+	if len(ioLevels) == 0 {
+		return nil, fmt.Errorf("lut: no IO levels")
+	}
+	levels := append([]float64(nil), ioLevels...)
+	sort.Float64s(levels)
+	for i, io := range levels {
+		if !(io > 0 && io <= 1) {
+			return nil, fmt.Errorf("lut: IO level %g out of (0,1]", io)
+		}
+		if i > 0 && units.ApproxEqual(io, levels[i-1], ioSlack) {
+			return nil, fmt.Errorf("lut: duplicate IO level %g", io)
+		}
+	}
+	return levels, nil
+}
+
+// Slots returns the grid size (maxPerDie+1)^dies × levels, saturating at
+// MaxSlots+1 so that an oversized grid reads as too big without
+// overflowing.
+func Slots(dies, maxPerDie, levels int) int {
+	n := levels
+	for d := 0; d < dies; d++ {
+		if n > MaxSlots/(maxPerDie+1) {
+			return MaxSlots + 1
+		}
+		n *= maxPerDie + 1
+	}
+	return min(n, MaxSlots+1)
+}
+
+// newTable validates the grid axes and allocates an empty grid over them.
+func newTable(dies, maxPerDie int, ioLevels []float64) (*Table, error) {
 	if dies < 1 {
 		return nil, fmt.Errorf("lut: dies %d must be >= 1", dies)
 	}
 	if maxPerDie < 1 {
 		return nil, fmt.Errorf("lut: maxPerDie %d must be >= 1", maxPerDie)
 	}
-	if len(ioLevels) == 0 {
-		return nil, fmt.Errorf("lut: no IO levels")
+	levels, err := Levels(ioLevels)
+	if err != nil {
+		return nil, err
 	}
-	levels := append([]float64(nil), ioLevels...)
-	sort.Float64s(levels)
-	for _, io := range levels {
-		if io <= 0 || io > 1 {
-			return nil, fmt.Errorf("lut: IO level %g out of (0,1]", io)
-		}
+	n := Slots(dies, maxPerDie, len(levels))
+	if n > MaxSlots {
+		return nil, fmt.Errorf("lut: %d dies × %d counts × %d levels exceeds %d slots", dies, maxPerDie+1, len(levels), MaxSlots)
 	}
-	t := &Table{
+	return &Table{
 		Dies:      dies,
 		MaxPerDie: maxPerDie,
 		IOLevels:  levels,
-		entries:   make(map[string]float64, len(pts)),
+		vals:      make([]float64, n),
+		has:       make([]bool, n),
+	}, nil
+}
+
+// state returns the grid index of a count vector. A vector of the wrong
+// length or with a count outside [0, MaxPerDie] is a *NotCoveredError.
+func (t *Table) state(counts []int, io float64) (int, error) {
+	if len(counts) != t.Dies {
+		return 0, notCovered(counts, io, "%d dies, table covers %d", len(counts), t.Dies)
 	}
-	for _, p := range pts {
-		if len(p.Counts) != dies {
-			return nil, fmt.Errorf("lut: point %v has %d dies, table covers %d", p.Counts, len(p.Counts), dies)
+	i := 0
+	for d, c := range counts {
+		if c < 0 || c > t.MaxPerDie {
+			return 0, notCovered(counts, io, "count %d on die %d outside [0,%d]", c, d+1, t.MaxPerDie)
 		}
-		t.entries[key(p.Counts, p.IO)] = p.MaxIR
+		i = i*(t.MaxPerDie+1) + c
 	}
-	return t, nil
+	return i, nil
+}
+
+// level returns the index of the covered level io matches, or -1.
+func (t *Table) level(io float64) int {
+	for li, l := range t.IOLevels {
+		if units.ApproxEqual(io, l, ioSlack) {
+			return li
+		}
+	}
+	return -1
 }
 
 // Entries returns the number of stored (state, io) points.
-func (t *Table) Entries() int { return len(t.entries) }
+func (t *Table) Entries() int {
+	n := 0
+	for _, ok := range t.has {
+		if ok {
+			n++
+		}
+	}
+	return n
+}
 
 // MaxIR returns the maximum IR drop in volts for the given per-die counts
 // at per-die I/O activity io. The io is rounded UP to the nearest covered
@@ -187,30 +255,22 @@ func (t *Table) Entries() int { return len(t.entries) }
 // grid — mismatched die count, a count above MaxPerDie, io above the top
 // covered level — returns a *NotCoveredError wrapping ErrNotCovered.
 func (t *Table) MaxIR(counts []int, io float64) (float64, error) {
-	if len(counts) != t.Dies {
-		return 0, notCovered(counts, io, "%d dies, table covers %d", len(counts), t.Dies)
+	i, err := t.state(counts, io)
+	if err != nil {
+		return 0, err
 	}
-	for d, c := range counts {
-		if c < 0 || c > t.MaxPerDie {
-			return 0, notCovered(counts, io, "count %d on die %d outside [0,%d]", c, d+1, t.MaxPerDie)
-		}
-	}
-	if top := t.IOLevels[len(t.IOLevels)-1]; io > top+1e-12 {
+	li := len(t.IOLevels) - 1
+	if top := t.IOLevels[li]; io > top+ioSlack {
 		return 0, notCovered(counts, io, "activity %g above the top covered level %g", io, top)
 	}
-	level := t.IOLevels[len(t.IOLevels)-1]
-	for i := len(t.IOLevels) - 1; i >= 0; i-- {
-		if t.IOLevels[i] >= io-1e-12 {
-			level = t.IOLevels[i]
-		} else {
-			break
-		}
+	for li > 0 && t.IOLevels[li-1] >= io-ioSlack {
+		li--
 	}
-	v, ok := t.entries[key(counts, level)]
-	if !ok {
-		return 0, notCovered(counts, io, "no entry at covered level %g", level)
+	i = i*len(t.IOLevels) + li
+	if !t.has[i] {
+		return 0, notCovered(counts, io, "no entry at covered level %g", t.IOLevels[li])
 	}
-	return v, nil
+	return t.vals[i], nil
 }
 
 // Point is one stored (state, io) grid point.
@@ -227,14 +287,13 @@ type Point struct {
 // (lexicographic states, then ascending I/O levels) — the /v1/lut dump
 // format, byte-identical across worker counts and runs.
 func (t *Table) Points() []Point {
-	out := make([]Point, 0, len(t.entries))
-	for _, counts := range memstate.EnumerateCounts(t.Dies, t.MaxPerDie) {
-		for _, io := range t.IOLevels {
-			v, ok := t.entries[key(counts, io)]
-			if !ok {
-				continue
+	out := make([]Point, 0, t.Entries())
+	nl := len(t.IOLevels)
+	for si, counts := range memstate.EnumerateCounts(t.Dies, t.MaxPerDie) {
+		for li, io := range t.IOLevels {
+			if i := si*nl + li; t.has[i] {
+				out = append(out, Point{Counts: append([]int(nil), counts...), IO: io, MaxIR: t.vals[i]})
 			}
-			out = append(out, Point{Counts: append([]int(nil), counts...), IO: io, MaxIR: v})
 		}
 	}
 	return out
@@ -243,22 +302,10 @@ func (t *Table) Points() []Point {
 // WorstIR returns the largest IR drop stored in the table.
 func (t *Table) WorstIR() float64 {
 	var mx float64
-	for _, v := range t.entries {
-		if v > mx {
+	for i, v := range t.vals {
+		if t.has[i] && v > mx {
 			mx = v
 		}
 	}
 	return mx
-}
-
-func key(counts []int, io float64) string {
-	var sb strings.Builder
-	for i, c := range counts {
-		if i > 0 {
-			sb.WriteByte('-')
-		}
-		sb.WriteString(strconv.Itoa(c))
-	}
-	fmt.Fprintf(&sb, "@%.4f", io)
-	return sb.String()
 }

@@ -202,3 +202,109 @@ func TestWorstIRIsFullActivity(t *testing.T) {
 		t.Errorf("worst %.4f below the 2-2-2-2@100%% entry %.4f", worst, full)
 	}
 }
+
+// synthetic stands in for an analyzer: a distinct drop per (state, io).
+func synthetic(counts []int, io float64) (*irdrop.Result, error) {
+	ir := io
+	for d, c := range counts {
+		ir += float64((d+1)*c) * 1e-3
+	}
+	return &irdrop.Result{MaxIR: ir}, nil
+}
+
+// I/O levels closer than the old four-decimal key stay separate points.
+func TestNearbyLevelsStayApart(t *testing.T) {
+	table, err := BuildWith(synthetic, 2, 2, []float64{0.5, 0.50004}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := table.Entries(), 9*2; got != want {
+		t.Errorf("entries = %d, want %d", got, want)
+	}
+	for _, io := range []float64{0.5, 0.50004} {
+		got, err := table.MaxIR([]int{1, 2}, io)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := synthetic([]int{1, 2}, io)
+		if got != want.MaxIR {
+			t.Errorf("MaxIR at io %g = %g, want that level's solve %g", io, got, want.MaxIR)
+		}
+	}
+}
+
+// FromPoints and BuildWith reject every grid they cannot represent
+// exactly, instead of storing a point MaxIR can never return or dropping
+// it silently.
+func TestGridRejectsMalformedInput(t *testing.T) {
+	levels := []float64{0.5, 1.0}
+	pt := func(io float64, counts ...int) Point { return Point{Counts: counts, IO: io, MaxIR: 0.09} }
+	tests := []struct {
+		name   string
+		levels []float64
+		pts    []Point
+	}{
+		{"count above maxPerDie", levels, []Point{pt(1.0, 0, 3)}},
+		{"negative count", levels, []Point{pt(1.0, -1, 0)}},
+		{"wrong die count", levels, []Point{pt(1.0, 0, 0, 0)}},
+		{"I/O on no level", levels, []Point{pt(0.75, 0, 1)}},
+		{"I/O just off a level", levels, []Point{pt(0.5+1e-9, 0, 1)}},
+		{"duplicate point", levels, []Point{pt(0.5, 1, 1), pt(0.5, 1, 1)}},
+		{"duplicate point within slack", levels, []Point{pt(0.5, 1, 1), pt(0.5+1e-13, 1, 1)}},
+		{"duplicate level", []float64{0.5, 1.0, 0.5}, nil},
+		{"duplicate level within slack", []float64{0.5, 0.5 + 1e-13}, nil},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := FromPoints(2, 2, tc.levels, tc.pts); err == nil {
+				t.Error("FromPoints: want error")
+			}
+			if tc.pts == nil {
+				if _, err := BuildWith(synthetic, 2, 2, tc.levels, 1); err == nil {
+					t.Error("BuildWith: want error")
+				}
+			}
+		})
+	}
+	if _, err := FromPoints(2, 2, levels, []Point{pt(0.5+1e-13, 1, 1)}); err != nil {
+		t.Errorf("I/O within the lookup slack of a level: %v", err)
+	}
+}
+
+// The slot budget admits the largest bench's full grid at the default
+// levels, saturates instead of overflowing, and is enforced before any
+// grid is allocated.
+func TestSlotBudget(t *testing.T) {
+	nl := len(DefaultIOLevels())
+	if n := Slots(4, 32, nl); n != 33*33*33*33*nl {
+		t.Errorf("HMC full grid = %d slots, want %d within budget", n, 33*33*33*33*nl)
+	}
+	for _, tc := range []struct{ dies, maxPerDie, levels int }{
+		{4, 32, 4}, {4, 1 << 30, 1}, {64, 1, 1}, {1, 1, MaxSlots},
+	} {
+		if n := Slots(tc.dies, tc.maxPerDie, tc.levels); n != MaxSlots+1 {
+			t.Errorf("Slots(%d, %d, %d) = %d, want saturated %d", tc.dies, tc.maxPerDie, tc.levels, n, MaxSlots+1)
+		}
+	}
+	if _, err := FromPoints(4, 32, []float64{0.25, 0.5, 0.75, 1}, nil); err == nil {
+		t.Error("FromPoints over the slot budget: want error")
+	}
+}
+
+// A sparse table reports only its stored points, and a missing point is
+// a typed miss.
+func TestSparseTableCountsOnlyStoredPoints(t *testing.T) {
+	table, err := FromPoints(2, 2, []float64{0.5, 1.0}, []Point{
+		{Counts: []int{0, 1}, IO: 1.0, MaxIR: 0.02},
+		{Counts: []int{2, 2}, IO: 0.5, MaxIR: 0.05},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table.Entries() != 2 || table.WorstIR() != 0.05 || len(table.Points()) != 2 {
+		t.Errorf("entries %d, worst %g, points %d; want 2, 0.05, 2", table.Entries(), table.WorstIR(), len(table.Points()))
+	}
+	if _, err := table.MaxIR([]int{0, 1}, 0.5); !errors.Is(err, ErrNotCovered) {
+		t.Errorf("missing point: err %v, want ErrNotCovered", err)
+	}
+}

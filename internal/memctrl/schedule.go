@@ -1,6 +1,9 @@
 package memctrl
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // schedule is the per-cycle scheduling pass: for each channel, the
 // controller walks the priority queue and issues the first command
@@ -16,11 +19,14 @@ func (s *sim) schedule() {
 	}
 	// Resolve the priority order to request pointers up front: issuing a
 	// read removes it from the queue, which would invalidate raw indices.
-	cands := make([]*Request, len(order))
+	s.cands = slices.Grow(s.cands[:0], len(order))[:len(order)]
+	cands := s.cands
 	for i, qi := range order {
 		cands[i] = s.queue[qi]
 	}
-	issued := make([]bool, s.cfg.Channels)
+	s.issued = slices.Grow(s.issued[:0], s.cfg.Channels)[:s.cfg.Channels]
+	issued := s.issued
+	clear(issued)
 	nIssued := 0
 	for _, req := range cands {
 		if nIssued == s.cfg.Channels {
@@ -44,22 +50,22 @@ func (s *sim) schedule() {
 // by arrival; DistR puts requests whose target die has the fewest open
 // banks first (ties by arrival), balancing reads across dies.
 func (s *sim) priorityOrder() []int {
-	idx := make([]int, len(s.queue))
+	s.order = slices.Grow(s.order[:0], len(s.queue))[:len(s.queue)]
+	idx := s.order
 	for i := range idx {
 		idx[i] = i
 	}
 	if s.cfg.Sched == DistR {
-		sort.SliceStable(idx, func(a, b int) bool {
-			ra, rb := s.queue[idx[a]], s.queue[idx[b]]
-			oa, ob := s.openPerDie[ra.Die], s.openPerDie[rb.Die]
-			if oa != ob {
-				return oa < ob
+		slices.SortStableFunc(idx, func(a, b int) int {
+			ra, rb := s.queue[a], s.queue[b]
+			if oa, ob := s.openPerDie[ra.Die], s.openPerDie[rb.Die]; oa != ob {
+				return cmp.Compare(oa, ob)
 			}
-			return ra.Arrival < rb.Arrival
+			return cmp.Compare(ra.Arrival, rb.Arrival)
 		})
 	} else {
-		sort.SliceStable(idx, func(a, b int) bool {
-			return s.queue[idx[a]].Arrival < s.queue[idx[b]].Arrival
+		slices.SortStableFunc(idx, func(a, b int) int {
+			return cmp.Compare(s.queue[a].Arrival, s.queue[b].Arrival)
 		})
 	}
 	return idx
@@ -170,7 +176,9 @@ func (s *sim) mayActivate(die int) bool {
 		}
 		// ...and the state it can decay into once other dies drain and
 		// this die takes the whole bus (conservative against idle-close).
-		alone := make([]int, s.cfg.Dies)
+		// counts is dead once the first lookup returns, so reuse it.
+		alone := counts
+		clear(alone)
 		alone[die] = s.openPerDie[die] + 1
 		ir, err = s.cfg.LUT.MaxIR(alone, 1.0)
 		if err != nil || ir > s.cfg.IRLimit {

@@ -3,6 +3,7 @@ package memctrl
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"pdn3d/internal/lut"
 )
@@ -227,6 +228,14 @@ type sim struct {
 	actTimes   []int64 // ACT history for tFAW
 	res        Result
 	latSum     int64
+
+	// Per-cycle scratch, reused so the cycle loop does not allocate. Each
+	// buffer is grown where it is used, so a sim built without run()
+	// works too.
+	counts []int      // LUT query vector (countsAndActive, mayActivate)
+	order  []int      // priority order over queue indices
+	cands  []*Request // the order resolved to requests
+	issued []bool     // per-channel issue mask
 }
 
 func (s *sim) run() (*Result, error) {
@@ -343,9 +352,11 @@ func (s *sim) noteLUTMiss(err error) {
 }
 
 // countsAndActive returns the per-die open bank counts; when extraDie >= 0
-// the hypothetical extra open banks are added to that die.
+// the hypothetical extra open banks are added to that die. The vector is
+// scratch, valid until the next call.
 func (s *sim) countsAndActive(extraDie, extra int) ([]int, int) {
-	counts := make([]int, s.cfg.Dies)
+	s.counts = slices.Grow(s.counts[:0], s.cfg.Dies)[:s.cfg.Dies]
+	counts := s.counts
 	active := 0
 	for d, n := range s.openPerDie {
 		counts[d] = n

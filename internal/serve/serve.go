@@ -567,10 +567,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
 type LUTRequest struct {
 	query.Query
 	// MaxPerDie bounds per-die active banks in the grid; <= 0 selects the
-	// interleaving cap.
+	// interleaving cap, and a value above the design's banks per die is
+	// refused 400.
 	MaxPerDie int `json:"max_per_die,omitempty"`
 	// IOLevels are the covered activity levels; empty selects the default
-	// grid.
+	// grid. Levels outside (0,1], levels within 1e-12 of each other, and
+	// a grid over lut.MaxSlots are refused 400.
 	IOLevels []float64 `json:"io_levels,omitempty"`
 	// Full includes every grid point in the response.
 	Full bool `json:"full,omitempty"`
@@ -626,9 +628,27 @@ func (s *Server) handleLUT(w http.ResponseWriter, req *http.Request) {
 	if maxPerDie <= 0 {
 		maxPerDie = memstate.MaxInterleavedBanks
 	}
+	// The grid holds (max_per_die+1)^dies states up front, so bound it by
+	// the physical limit: a die cannot open more banks than it has.
+	if banks := r.Spec.DRAM.NumBanks; maxPerDie > banks {
+		err := &query.FieldError{Field: "max_per_die", Msg: fmt.Sprintf("%d exceeds the design's %d banks per die", maxPerDie, banks)}
+		writeErr(w, statusFor(err), err)
+		return
+	}
 	levels := lreq.IOLevels
 	if len(levels) == 0 {
 		levels = lut.DefaultIOLevels()
+	}
+	// Refuse levels the table would refuse, and a grid over its slot
+	// budget, as client errors before any analyzer is built.
+	levels, err = lut.Levels(levels)
+	if err == nil && lut.Slots(r.Spec.NumDRAM, maxPerDie, len(levels)) > lut.MaxSlots {
+		err = fmt.Errorf("%d levels × %d^%d states exceeds %d grid slots", len(levels), maxPerDie+1, r.Spec.NumDRAM, lut.MaxSlots)
+	}
+	if err != nil {
+		err := &query.FieldError{Field: "io_levels", Msg: err.Error()}
+		writeErr(w, statusFor(err), err)
+		return
 	}
 	t, err := s.lutFor(req.Context(), r, maxPerDie, levels)
 	if err != nil {

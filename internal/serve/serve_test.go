@@ -276,6 +276,51 @@ func TestLUTEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &eb); err != nil || !strings.Contains(eb.Error, "not covered") {
 		t.Errorf("422 body %s does not name the coverage miss", body)
 	}
+
+	// max_per_die is bounded by the design's banks per die (8 for
+	// ddr3-off) before any grid is allocated.
+	tooBig := `{"bench":"ddr3-off","max_per_die":9,"io_levels":[1.0]}`
+	resp, body = post(t, ts.URL+"/v1/lut", tooBig)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("max_per_die 9 status = %d, want 400 (body %s)", resp.StatusCode, body)
+	}
+	if err := json.Unmarshal(body, &eb); err != nil || !strings.Contains(eb.Error, "max_per_die") {
+		t.Errorf("400 body %s does not name max_per_die", body)
+	}
+}
+
+// TestLUTRejectsBadLevels checks that io_levels the table cannot hold,
+// and grids over its slot budget, are client errors refused before any
+// analyzer or table is built.
+func TestLUTRejectsBadLevels(t *testing.T) {
+	many := make([]string, 1000)
+	for i := range many {
+		many[i] = fmt.Sprint(float64(i+1) / 1000)
+	}
+	cases := []struct{ name, levels string }{
+		{"duplicate", "[0.5,1.0,0.5]"},
+		{"within slack", "[0.5,0.5000000000000001]"},
+		{"zero", "[0,1.0]"},
+		{"above one", "[1.5]"},
+		{"over slot budget", "[" + strings.Join(many, ",") + "]"},
+	}
+	s, ts := newTestServer(t, Config{})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := `{"bench":"ddr3-off","max_per_die":8,"io_levels":` + tc.levels + `}`
+			resp, body := post(t, ts.URL+"/v1/lut", req)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, body)
+			}
+			var eb errBody
+			if err := json.Unmarshal(body, &eb); err != nil || !strings.Contains(eb.Error, "io_levels") {
+				t.Errorf("400 body %s does not name io_levels", body)
+			}
+		})
+	}
+	if n, m := s.analyzers.Len(), s.luts.Len(); n != 0 || m != 0 {
+		t.Errorf("refused requests built %d analyzers and %d tables, want none", n, m)
+	}
 }
 
 func Test429UnderSaturation(t *testing.T) {

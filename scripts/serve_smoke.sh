@@ -2,7 +2,8 @@
 # Boots pdnserve on a local port, drives one request through every
 # endpoint (analyze, batch, lut, healthz, metrics, debug/requests,
 # debug/solves), and fails on any non-2xx response, an oversized body
-# not refused 413, a batch item error, a missing
+# not refused 413, a LUT max_per_die above the design's banks per die
+# or duplicate LUT io_levels not refused 400, a batch item error, a missing
 # X-Trace-Id, an unretrievable trace, malformed Prometheus exposition,
 # or a missing structured-log start event. Finishes with a SIGTERM to
 # check the graceful drain path exits cleanly.
@@ -62,6 +63,18 @@ echo "$LAST" | grep -q '"failed":0' || { echo "batch reported item failures: $LA
 
 check lut /v1/lut '{"bench":"ddr3-off","max_per_die":1,"io_levels":[1.0],"probe":{"state":"0-0-0-1","io":1.0}}'
 echo "$LAST" | grep -q '"probe_max_ir_mv"' || { echo "lut response missing probe result" >&2; exit 1; }
+
+# max_per_die is bounded by the design's banks per die: refused 400.
+STATUS=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+  -d '{"bench":"ddr3-off","max_per_die":1000000}' "http://$ADDR/v1/lut")
+[ "$STATUS" = 400 ] || { echo "unbounded lut max_per_die: status $STATUS, want 400" >&2; exit 1; }
+echo "ok: oversized lut max_per_die -> 400"
+
+# Duplicate io_levels are a client error: refused 400.
+STATUS=$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+  -d '{"bench":"ddr3-off","max_per_die":1,"io_levels":[0.5,0.5]}' "http://$ADDR/v1/lut")
+[ "$STATUS" = 400 ] || { echo "duplicate lut io_levels: status $STATUS, want 400" >&2; exit 1; }
+echo "ok: duplicate lut io_levels -> 400"
 
 check metrics /metrics
 echo "$LAST" | grep -q 'serve.cache' || { echo "metrics missing serve counters" >&2; exit 1; }
