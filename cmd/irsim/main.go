@@ -6,7 +6,7 @@
 //
 //	irsim -bench ddr3-off [-state 0-0-0-2] [-io 1.0] [-bonding F2F]
 //	      [-tsv 33] [-style E|C|D] [-wirebond] [-dedicated] [-rdl none|interface|all]
-//	      [-align] [-pitch 0.2] [-solver cg-ic0|cg-amg|cg-jacobi|cholesky] [-workers n]
+//	      [-align] [-pitch 0.2] [-solver cg-ic0|cg-jacobi|cholesky] [-workers n]
 //	      [-map] [-spice out.sp] [-stats] [-metrics-out file] [-pprof addr]
 package main
 
@@ -47,6 +47,9 @@ func main() {
 	svgOut := flag.String("svg", "", "write an SVG layout view (top DRAM die, IR overlay) to this file")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
+	if err := solve.CheckMethod(*solver); err != nil {
+		log.Fatalf("-solver: %v", err)
+	}
 	reg := obsFlags.Setup(log.Printf)
 
 	// The shared query validator rejects out-of-range inputs (-io outside

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	pdn3d -bench ddr3-off [-alpha 0,0.3,1] [-pitch 0.2] [-samples 3] [-grid 9]
-//	      [-workers n] [-solver cg-ic0|cg-amg|cg-jacobi|cholesky]
+//	      [-workers n] [-solver cg-ic0|cg-jacobi|cholesky]
 //	      [-stats] [-metrics-out file] [-pprof addr]
 package main
 
@@ -38,6 +38,9 @@ func main() {
 	solver := flag.String("solver", "", "nodal solver: "+strings.Join(solve.Methods(), ", ")+" (default "+solve.DefaultMethod+")")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
+	if err := solve.CheckMethod(*solver); err != nil {
+		log.Fatalf("-solver: %v", err)
+	}
 	reg := obsFlags.Setup(log.Printf)
 
 	b, err := bench3d.ByName(*benchName)

@@ -1,6 +1,6 @@
 // Command pdnbench runs the benchmark-interchange and differential-solver
 // corpus: it expands the committed synthetic corpus (internal/bench/gen),
-// batters every registered solver against the dense-Cholesky oracle or
+// batters every solver method against the dense-Cholesky oracle or
 // the cross-check reference (internal/bench/diff), verifies the SPICE
 // netlist round trip, and writes the machine-readable BENCH_diff.json
 // snapshot CI tracks.
@@ -43,7 +43,7 @@ func main() {
 		importGl = flag.String("import", "", "run external SPICE decks matching this glob through the differential harness and exit")
 		out      = flag.String("out", "", "write the BENCH_diff.json snapshot to this path")
 		long     = flag.Bool("long", false, "also run the on-the-fly sized meshes (cross-check regime)")
-		solvers  = flag.String("solvers", "", "comma-separated solver methods (default: every registered method)")
+		solvers  = flag.String("solvers", "", "comma-separated solver methods (default: every method)")
 		maxN     = flag.Int("max-nodes", diff.DefaultOracleMaxN, "largest system the dense Cholesky oracle factorizes")
 		workers  = flag.Int("workers", 0, "solver worker pool bound (0: GOMAXPROCS)")
 		conv     = flag.Bool("convergence", false, "print the per-family convergence table and commit it into the snapshot")
@@ -157,7 +157,7 @@ func run(list, regen bool, dir, exportTo, out string, long, conv bool, solvers s
 }
 
 // Snapshot is the BENCH_diff.json schema: the differential-coverage
-// trajectory (how much of the solver registry × corpus matrix is checked
+// trajectory (how much of the solver method × corpus matrix is checked
 // and how well it agrees) that solver-optimization PRs push against.
 // It carries no timestamps or host data; error magnitudes can wiggle in
 // the last digits with the worker count's reduction order.

@@ -63,6 +63,9 @@ func main() {
 	if *pitch < 0 {
 		fatal(obs.F("error", fmt.Sprintf("-pitch %g must be >= 0", *pitch)))
 	}
+	if err := solve.CheckMethod(*solver); err != nil {
+		fatal(obs.F("error", "-solver: "+err.Error()))
+	}
 
 	s := serve.New(serve.Config{
 		Workers:        *workers,

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	tables [-pitch mm] [-requests n] [-only id[,id...]] [-benchmarks names]
-//	       [-workers n] [-solver cg-ic0|cg-amg|cg-jacobi|cholesky]
+//	       [-workers n] [-solver cg-ic0|cg-jacobi|cholesky]
 //	       [-stats] [-metrics-out file] [-pprof addr]
 //
 // Experiment ids: table1 metal mounting table2 table3 table4 table5 table6
@@ -38,6 +38,10 @@ func main() {
 	solver := flag.String("solver", "", "nodal solver: "+strings.Join(solve.Methods(), ", ")+" (default "+solve.DefaultMethod+")")
 	obsFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
+	if err := solve.CheckMethod(*solver); err != nil {
+		fmt.Fprintf(os.Stderr, "tables: -solver: %v\n", err)
+		os.Exit(2)
+	}
 
 	errlog := func(format string, args ...interface{}) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 	reg := obsFlags.Setup(errlog)

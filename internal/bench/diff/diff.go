@@ -36,7 +36,7 @@ const DefaultOracleMaxN = 2000
 // measures solver agreement, not the convergence threshold.
 const DefaultTol = 1e-13
 
-// OracleRelTol is the documented agreement bound: every registry solver
+// OracleRelTol is the documented agreement bound: every solver method
 // must match the dense Cholesky oracle within this ∞-norm relative error
 // on oracle-sized meshes (see DESIGN.md §5g for the tolerance policy).
 const OracleRelTol = 1e-9
@@ -50,7 +50,7 @@ const RoundTripVoltTol = 1e-8
 // Options tunes a differential check. The zero value is ready to use.
 type Options struct {
 	// Methods lists the solver methods to check; nil selects every
-	// registered method (solve.Methods()).
+	// method (solve.Methods()).
 	Methods []string
 	// Workers bounds the solver kernels' worker pool (<= 0: GOMAXPROCS).
 	Workers int
@@ -87,7 +87,7 @@ func (o Options) methods() []string {
 
 // Run is one solver execution against the reference solution.
 type Run struct {
-	// Method is the registry name of the solver.
+	// Method is the solver method name.
 	Method string `json:"method"`
 	// Warm reports whether the solve was seeded with a nearby solution.
 	Warm bool `json:"warm"`
@@ -152,7 +152,7 @@ type MeshReport struct {
 }
 
 // Check expands one corpus entry and runs the full differential suite on
-// it: every registered solver cold and warm against the mesh's reference
+// it: every solver method cold and warm against the mesh's reference
 // solution, restamp-vs-full-build bit equality, and the SPICE round trip.
 func Check(s *gen.Spec, opt Options) (*MeshReport, error) {
 	inst, err := s.Build()

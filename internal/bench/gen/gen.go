@@ -1,6 +1,6 @@
 // Package gen deterministically generates the synthetic PDN benchmark
 // corpus — the SRAM-PG-style escalating mesh families the differential
-// solver harness (internal/bench/diff) batters every registered solver
+// solver harness (internal/bench/diff) batters every solver method
 // with. A corpus entry is a small declarative Spec (JSON-serializable,
 // committed under corpus/) that expands into a fully analyzable design:
 // one of the four paper benchmarks perturbed along one escalation axis —

@@ -91,16 +91,6 @@ func (f *Floorplan) BankBlocks(b int) []Block {
 	return out
 }
 
-// BankArrayRect returns the cell-array rectangle of bank b.
-func (f *Floorplan) BankArrayRect(b int) (geom.Rect, error) {
-	for _, bl := range f.Blocks {
-		if bl.Bank == b && bl.Kind == BankArray {
-			return bl.Rect, nil
-		}
-	}
-	return geom.Rect{}, fmt.Errorf("floorplan %s: no bank array for bank %d", f.Name, b)
-}
-
 // KindBlocks returns all blocks of the given kind.
 func (f *Floorplan) KindBlocks(k BlockKind) []Block {
 	var out []Block

@@ -33,29 +33,22 @@ func TestDDR3DieDefault(t *testing.T) {
 func TestDDR3BankLookup(t *testing.T) {
 	f, _ := DDR3Die(DefaultDDR3())
 	for b := 0; b < 8; b++ {
-		r, err := f.BankArrayRect(b)
-		if err != nil {
-			t.Fatalf("BankArrayRect(%d): %v", b, err)
-		}
-		if r.Empty() {
+		if r := bankArray(t, f, b); r.Empty() {
 			t.Errorf("bank %d rect empty", b)
 		}
 		if got := len(f.BankBlocks(b)); got != 2 {
 			t.Errorf("bank %d owns %d blocks, want 2 (array + rowdec)", b, got)
 		}
 	}
-	if _, err := f.BankArrayRect(99); err == nil {
-		t.Error("BankArrayRect(99): want error")
-	}
 }
 
 func TestDDR3TopBankTouchesDieTop(t *testing.T) {
 	f, _ := DDR3Die(DefaultDDR3())
-	r, _ := f.BankArrayRect(7)
+	r := bankArray(t, f, 7)
 	if math.Abs(r.Y1-f.Outline.Y1) > 1e-9 {
 		t.Errorf("top bank ends at y=%g, want die top %g", r.Y1, f.Outline.Y1)
 	}
-	r0, _ := f.BankArrayRect(0)
+	r0 := bankArray(t, f, 0)
 	if r0.Y0 != 0 {
 		t.Errorf("bottom bank starts at y=%g, want 0", r0.Y0)
 	}
@@ -67,10 +60,10 @@ func TestDDR3SymmetricAboutVerticalAxis(t *testing.T) {
 	f, _ := DDR3Die(DefaultDDR3())
 	m := f.MirrorX()
 	for b := 0; b < f.NumBanks; b++ {
-		r, _ := m.BankArrayRect(b)
+		r := bankArray(t, m, b)
 		found := false
 		for bb := 0; bb < f.NumBanks; bb++ {
-			o, _ := f.BankArrayRect(bb)
+			o := bankArray(t, f, bb)
 			if rectApprox(r, o) {
 				found = true
 				break
@@ -193,7 +186,8 @@ func TestValidateCatchesEscapesAndOverlaps(t *testing.T) {
 	f, _ := DDR3Die(DefaultDDR3())
 	bad := *f
 	bad.Blocks = append([]Block(nil), f.Blocks...)
-	bad.Blocks[3].Rect = bad.Blocks[3].Rect.Translate(geom.Pt(f.Outline.W(), 0))
+	r := bad.Blocks[3].Rect
+	bad.Blocks[3].Rect = geom.Rect{X0: r.X0 + f.Outline.W(), Y0: r.Y0, X1: r.X1 + f.Outline.W(), Y1: r.Y1}
 	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "escapes") {
 		t.Errorf("escape: err = %v", err)
 	}
@@ -202,7 +196,7 @@ func TestValidateCatchesEscapesAndOverlaps(t *testing.T) {
 	dup.Blocks = append([]Block(nil), f.Blocks...)
 	for i, bl := range dup.Blocks {
 		if bl.Kind == BankArray && bl.Bank == 1 {
-			r0, _ := f.BankArrayRect(0)
+			r0 := bankArray(t, f, 0)
 			dup.Blocks[i].Rect = r0
 		}
 	}
@@ -230,4 +224,17 @@ func rectApprox(a, b geom.Rect) bool {
 	const eps = 1e-9
 	return math.Abs(a.X0-b.X0) < eps && math.Abs(a.Y0-b.Y0) < eps &&
 		math.Abs(a.X1-b.X1) < eps && math.Abs(a.Y1-b.Y1) < eps
+}
+
+// bankArray returns the cell-array rectangle of bank b, failing the test
+// when the floorplan has none.
+func bankArray(t *testing.T, f *Floorplan, b int) geom.Rect {
+	t.Helper()
+	for _, bl := range f.Blocks {
+		if bl.Bank == b && bl.Kind == BankArray {
+			return bl.Rect
+		}
+	}
+	t.Fatalf("floorplan %s: no bank array for bank %d", f.Name, b)
+	return geom.Rect{}
 }

@@ -63,11 +63,6 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.X0 && p.X < r.X1 && p.Y >= r.Y0 && p.Y < r.Y1
 }
 
-// ContainsClosed reports whether p lies inside r including all edges.
-func (r Rect) ContainsClosed(p Point) bool {
-	return p.X >= r.X0 && p.X <= r.X1 && p.Y >= r.Y0 && p.Y <= r.Y1
-}
-
 // Intersect returns the intersection of r and s (possibly empty).
 func (r Rect) Intersect(s Rect) Rect {
 	out := Rect{
@@ -86,11 +81,6 @@ func (r Rect) Overlaps(s Rect) bool { return !r.Intersect(s).Empty() }
 // Inset shrinks the rectangle by d on every side. A negative d grows it.
 func (r Rect) Inset(d float64) Rect {
 	return Rect{r.X0 + d, r.Y0 + d, r.X1 - d, r.Y1 - d}
-}
-
-// Translate shifts the rectangle by the vector p.
-func (r Rect) Translate(p Point) Rect {
-	return Rect{r.X0 + p.X, r.Y0 + p.Y, r.X1 + p.X, r.Y1 + p.Y}
 }
 
 // MirrorX mirrors the rectangle about the vertical line x = axis.

@@ -138,7 +138,7 @@ func TestGridNodesInMatchesBruteForce(t *testing.T) {
 		want := map[int]bool{}
 		for j := 0; j < g.NY; j++ {
 			for i := 0; i < g.NX; i++ {
-				if r.ContainsClosed(g.Pos(i, j)) {
+				if containsClosed(r, g.Pos(i, j)) {
 					want[g.Index(i, j)] = true
 				}
 			}

@@ -73,10 +73,10 @@ func Validate(spec *pdn.Spec, dramPower *powermap.DRAMModel, logicPower *powerma
 	return v, nil
 }
 
-// CrossCheckDense solves the design's nodal system with every registered
-// solver method and compares each against an exact dense Cholesky
+// CrossCheckDense solves the design's nodal system with every solver
+// method and compares each against an exact dense Cholesky
 // factorization, returning the maximum absolute voltage disagreement in
-// volts across all of them. It guards the solver registry itself and is
+// volts across all of them. It guards the solver methods themselves and is
 // restricted to small meshes (the dense path is O(n³)).
 func CrossCheckDense(spec *pdn.Spec, dramPower *powermap.DRAMModel,
 	state memstate.State, io float64, maxNodes int) (float64, error) {

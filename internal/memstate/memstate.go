@@ -85,19 +85,6 @@ func (s State) Counts() []int {
 // NumDies returns the die count of the state.
 func (s State) NumDies() int { return len(s.Dies) }
 
-// Active reports whether bank b on die d is active.
-func (s State) Active(die, bank int) bool {
-	if die < 0 || die >= len(s.Dies) {
-		return false
-	}
-	for _, b := range s.Dies[die] {
-		if b == bank {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the paper's "R1-R2-R3-R4" notation.
 func (s State) String() string {
 	parts := make([]string, len(s.Dies))

@@ -1,6 +1,7 @@
 package memstate
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,11 +32,8 @@ func TestFromCountsErrors(t *testing.T) {
 
 func TestActive(t *testing.T) {
 	s := MustPairState("", "", "", PairA)
-	if !s.Active(3, 5) || !s.Active(3, 7) {
-		t.Error("banks 5,7 on die 4 should be active")
-	}
-	if s.Active(3, 4) || s.Active(0, 5) || s.Active(9, 5) || s.Active(-1, 0) {
-		t.Error("inactive/out-of-range banks reported active")
+	if got := fmt.Sprint(s.Dies); got != "[[] [] [] [5 7]]" {
+		t.Errorf("pair A state activates %s, want banks 5,7 on die 4 only", got)
 	}
 }
 

@@ -19,7 +19,6 @@ package obs
 import (
 	"math"
 	"strconv"
-	"sync"
 	"sync/atomic"
 )
 
@@ -70,7 +69,7 @@ const (
 // Commit copies it across verbatim. Field names and order are part of
 // the SolveRecord JSON contract (DESIGN.md §5i).
 type SolveOutcome struct {
-	// Method is the registry name of the solver ("cg-ic0", "cg-amg", …).
+	// Method is the solver method name ("cg-ic0", "cg-jacobi", "cholesky").
 	Method string `json:"method,omitempty"`
 	// Precond names the preconditioner that actually ran; Fallback marks
 	// a setup-time substitution (IC(0) breakdown → Jacobi).
@@ -370,7 +369,8 @@ func sturmNegcount(d, e []float64, x float64) int {
 
 // SolveBuffer retains finished solve records for post-hoc inspection
 // (/debug/solves): a ring of the N most recent plus the N
-// worst-by-iterations seen, each bounded, mirroring TraceBuffer. Safe
+// worst-by-iterations seen, each bounded, in the retention core
+// TraceBuffer also uses. Safe
 // for concurrent use; nil disables retention (and recording — see
 // StartSolveRecord).
 type SolveBuffer struct {
@@ -382,13 +382,8 @@ type SolveBuffer struct {
 	// use.
 	CondHist *Histogram
 
-	mu     sync.Mutex
-	cap    int
-	recent []SolveRecord // ring; next is the oldest once full
-	next   int
-	worst  []SolveRecord // sorted by Iterations descending, len <= cap
-	added  int64
-	seq    atomic.Int64
+	retention[SolveRecord, int]
+	seq atomic.Int64
 }
 
 // NewSolveBuffer builds a buffer retaining n recent and n
@@ -397,7 +392,10 @@ func NewSolveBuffer(n int) *SolveBuffer {
 	if n <= 0 {
 		n = DefaultSolveBufferCap
 	}
-	return &SolveBuffer{cap: n}
+	return &SolveBuffer{retention: retention[SolveRecord, int]{
+		cap: n,
+		key: func(r *SolveRecord) int { return r.Iterations },
+	}}
 }
 
 // Add records one finished solve. Commit calls this; use it directly
@@ -409,26 +407,7 @@ func (b *SolveBuffer) Add(rec SolveRecord) {
 	if rec.CondEst > 0 {
 		b.CondHist.Observe(rec.CondEst)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.added++
-	if len(b.recent) < b.cap {
-		b.recent = append(b.recent, rec)
-	} else {
-		b.recent[b.next] = rec
-		b.next = (b.next + 1) % b.cap
-	}
-	if len(b.worst) < b.cap {
-		b.worst = append(b.worst, rec)
-	} else if rec.Iterations > b.worst[len(b.worst)-1].Iterations {
-		b.worst[len(b.worst)-1] = rec
-	} else {
-		return
-	}
-	// Restore descending order: bubble the inserted tail entry up.
-	for i := len(b.worst) - 1; i > 0 && b.worst[i].Iterations > b.worst[i-1].Iterations; i-- {
-		b.worst[i], b.worst[i-1] = b.worst[i-1], b.worst[i]
-	}
+	b.add(rec)
 }
 
 // Snapshot returns the retained records: recent newest-first, worst in
@@ -438,17 +417,7 @@ func (b *SolveBuffer) Snapshot() (recent, worst []SolveRecord, added int64) {
 	if b == nil {
 		return nil, nil, 0
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	recent = make([]SolveRecord, 0, len(b.recent))
-	// The ring's next slot holds the oldest entry once full (and stays 0
-	// while filling), so the newest entry sits just before it; walk
-	// backwards from there.
-	for i := 0; i < len(b.recent); i++ {
-		recent = append(recent, b.recent[(b.next-1-i+2*len(b.recent))%len(b.recent)])
-	}
-	worst = append([]SolveRecord(nil), b.worst...)
-	return recent, worst, b.added
+	return b.snapshot()
 }
 
 // Find returns the retained record with the given solve ID — or, when no
@@ -459,33 +428,20 @@ func (b *SolveBuffer) Find(id string) (SolveRecord, bool) {
 	if b == nil {
 		return SolveRecord{}, false
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i := range b.recent {
-		if b.recent[i].ID == id {
-			return b.recent[i], true
-		}
-	}
-	for i := range b.worst {
-		if b.worst[i].ID == id {
-			return b.worst[i], true
-		}
+	if rec, ok := b.find(func(r *SolveRecord) bool { return r.ID == id }); ok {
+		return rec, true
 	}
 	var hit SolveRecord
 	var hitSeq int64 = -1
-	for _, list := range [][]SolveRecord{b.recent, b.worst} {
-		for i := range list {
-			if list[i].TraceID == id {
-				if seq := solveSeq(list[i].ID); seq > hitSeq {
-					hit, hitSeq = list[i], seq
-				}
+	b.scan(func(r *SolveRecord) bool {
+		if r.TraceID == id {
+			if seq := solveSeq(r.ID); seq > hitSeq {
+				hit, hitSeq = *r, seq
 			}
 		}
-	}
-	if hitSeq >= 0 {
-		return hit, true
-	}
-	return SolveRecord{}, false
+		return true
+	})
+	return hit, hitSeq >= 0
 }
 
 // solveSeq parses the numeric part of a record ID for recency ordering.

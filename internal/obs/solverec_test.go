@@ -142,7 +142,7 @@ func TestSolveRecorderAllocs(t *testing.T) {
 			r.RecordIter(0.5, 1.0/float64(i+1))
 			r.RecordBeta(0.25)
 		}
-		r.Commit(SolveOutcome{Method: "cg-amg", Precond: "amg", N: 100,
+		r.Commit(SolveOutcome{Method: "cg-ic0", Precond: "ic0", N: 100,
 			Iterations: 400, Residual: 1.0 / 400, Converged: true, Termination: TermConverged})
 	})
 	// Recorder struct + backing array at Start; snapshot + cond scratch +

@@ -320,16 +320,9 @@ func SpanFrom(ctx context.Context) *TraceSpan {
 
 // TraceBuffer retains finished request traces for post-hoc inspection
 // (/debug/requests): a ring of the N most recent plus the N slowest
-// seen, each bounded, so a long-running server holds a fixed amount of
-// trace data no matter how much traffic it serves. Safe for concurrent
-// use; nil disables retention.
+// seen, each bounded. Safe for concurrent use; nil disables retention.
 type TraceBuffer struct {
-	mu      sync.Mutex
-	cap     int
-	recent  []TraceSnapshot // ring; next is the oldest once full
-	next    int
-	slowest []TraceSnapshot // sorted by DurMS descending, len <= cap
-	added   int64
+	retention[TraceSnapshot, float64]
 }
 
 // DefaultTraceBufferCap bounds each retention class when the size knob
@@ -342,7 +335,10 @@ func NewTraceBuffer(n int) *TraceBuffer {
 	if n <= 0 {
 		n = DefaultTraceBufferCap
 	}
-	return &TraceBuffer{cap: n}
+	return &TraceBuffer{retention: retention[TraceSnapshot, float64]{
+		cap: n,
+		key: func(t *TraceSnapshot) float64 { return t.DurMS },
+	}}
 }
 
 // Add records one finished trace. No-op on nil.
@@ -350,26 +346,7 @@ func (b *TraceBuffer) Add(s TraceSnapshot) {
 	if b == nil {
 		return
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.added++
-	if len(b.recent) < b.cap {
-		b.recent = append(b.recent, s)
-	} else {
-		b.recent[b.next] = s
-		b.next = (b.next + 1) % b.cap
-	}
-	if len(b.slowest) < b.cap {
-		b.slowest = append(b.slowest, s)
-	} else if s.DurMS > b.slowest[len(b.slowest)-1].DurMS {
-		b.slowest[len(b.slowest)-1] = s
-	} else {
-		return
-	}
-	// Restore descending order: bubble the inserted tail entry up.
-	for i := len(b.slowest) - 1; i > 0 && b.slowest[i].DurMS > b.slowest[i-1].DurMS; i-- {
-		b.slowest[i], b.slowest[i-1] = b.slowest[i-1], b.slowest[i]
-	}
+	b.add(s)
 }
 
 // Snapshot returns the retained traces: recent newest-first, slowest
@@ -379,17 +356,7 @@ func (b *TraceBuffer) Snapshot() (recent, slowest []TraceSnapshot, added int64) 
 	if b == nil {
 		return nil, nil, 0
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	recent = make([]TraceSnapshot, 0, len(b.recent))
-	// The ring's next slot holds the oldest entry once full (and stays 0
-	// while filling), so the newest entry sits just before it; walk
-	// backwards from there.
-	for i := 0; i < len(b.recent); i++ {
-		recent = append(recent, b.recent[(b.next-1-i+2*len(b.recent))%len(b.recent)])
-	}
-	slowest = append([]TraceSnapshot(nil), b.slowest...)
-	return recent, slowest, b.added
+	return b.snapshot()
 }
 
 // Find returns the retained trace with the given ID, preferring the
@@ -398,17 +365,5 @@ func (b *TraceBuffer) Find(id string) (TraceSnapshot, bool) {
 	if b == nil {
 		return TraceSnapshot{}, false
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i := range b.recent {
-		if b.recent[i].ID == id {
-			return b.recent[i], true
-		}
-	}
-	for i := range b.slowest {
-		if b.slowest[i].ID == id {
-			return b.slowest[i], true
-		}
-	}
-	return TraceSnapshot{}, false
+	return b.find(func(t *TraceSnapshot) bool { return t.ID == id })
 }

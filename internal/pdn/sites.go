@@ -288,19 +288,3 @@ func (s *Spec) WireLength(die int) float64 {
 	const baseRise = 0.3 // mm die-attach and loop height
 	return lateral + baseRise + perDie*float64(die+1)
 }
-
-// DedicatedSites returns the via-last dedicated TSV positions (in logic-die
-// coordinates) that feed the DRAM stack directly from the package. They
-// mirror the DRAM TSV pattern so each dedicated TSV lands under a DRAM TSV
-// stack. Returns nil when the spec has no dedicated TSVs.
-func (s *Spec) DedicatedSites() []geom.Point {
-	if !s.DedicatedTSV || !s.OnLogic {
-		return nil
-	}
-	pts := s.TSVSites()
-	out := make([]geom.Point, len(pts))
-	for i, p := range pts {
-		out[i] = s.DRAMOnLogic(p)
-	}
-	return out
-}

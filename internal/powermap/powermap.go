@@ -174,22 +174,6 @@ func (m *DRAMModel) interp(io float64) (active, idle float64) {
 	return last.ActiveDie, last.IdleDie
 }
 
-// DiePower returns the total power of one die with nActive active banks at
-// the given I/O activity: standby + n·BankPower + V(io). The I/O component
-// is bank-count independent (a die's I/O runs at the stated activity
-// regardless of how many banks feed it).
-func (m *DRAMModel) DiePower(nActive int, io float64) float64 {
-	act, idle := m.interp(io)
-	if nActive <= 0 {
-		return m.Scale * idle
-	}
-	v := (act - idle) - m.BankPower*float64(m.RefBanks)
-	if v < 0 {
-		v = 0
-	}
-	return m.Scale * (idle + m.BankPower*float64(nActive) + v)
-}
-
 // Loads distributes one die's power over its floorplan blocks for the
 // given set of active banks and I/O activity. Idle-die standby power goes
 // 50 % to the peripheral strip, 25 % to column paths, 25 % uniformly over

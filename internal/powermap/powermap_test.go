@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"pdn3d/internal/floorplan"
+	"pdn3d/internal/geom"
 )
 
 // mod1 squashes an arbitrary quick-generated float into (0.05, 1).
@@ -43,11 +44,11 @@ func TestDiePowerMatchesTable5Anchors(t *testing.T) {
 		{0.25, 126.0, 27.3},
 	}
 	for _, c := range cases {
-		if got := m.DiePower(2, c.io); math.Abs(got-c.active) > 1e-9 {
-			t.Errorf("DiePower(2, %g) = %g, want %g (Table 5)", c.io, got, c.active)
+		if got := diePower(m, 2, c.io); math.Abs(got-c.active) > 1e-9 {
+			t.Errorf("diePower(2, %g) = %g, want %g (Table 5)", c.io, got, c.active)
 		}
-		if got := m.DiePower(0, c.io); math.Abs(got-c.idle) > 1e-9 {
-			t.Errorf("DiePower(0, %g) = %g, want %g (Table 5)", c.io, got, c.idle)
+		if got := diePower(m, 0, c.io); math.Abs(got-c.idle) > 1e-9 {
+			t.Errorf("diePower(0, %g) = %g, want %g (Table 5)", c.io, got, c.idle)
 		}
 	}
 }
@@ -67,7 +68,7 @@ func TestStackTotalsMatchTable5(t *testing.T) {
 	for _, c := range cases {
 		var total float64
 		for _, n := range c.counts {
-			total += m.DiePower(n, c.io)
+			total += diePower(m, n, c.io)
 		}
 		// The paper's Table 5 itself carries ~1 % internal noise (its
 		// active-die power differs slightly between rows at the same
@@ -92,8 +93,8 @@ func TestDiePowerMonotoneInIOAndBanks(t *testing.T) {
 		if b1 > b2 {
 			b1, b2 = b2, b1
 		}
-		return m.DiePower(b1, io1) <= m.DiePower(b2, io1)+1e-9 &&
-			m.DiePower(b2, io1) <= m.DiePower(b2, io2)+1e-9
+		return diePower(m, b1, io1) <= diePower(m, b2, io1)+1e-9 &&
+			diePower(m, b2, io1) <= diePower(m, b2, io2)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -102,10 +103,10 @@ func TestDiePowerMonotoneInIOAndBanks(t *testing.T) {
 
 func TestInterpClampsOutsideAnchors(t *testing.T) {
 	m := StackedDDR3Power()
-	if got := m.DiePower(2, 0.01); math.Abs(got-126.0) > 1e-9 {
+	if got := diePower(m, 2, 0.01); math.Abs(got-126.0) > 1e-9 {
 		t.Errorf("below range: %g, want clamp to 126.0", got)
 	}
-	if got := m.DiePower(2, 2.0); math.Abs(got-220.5) > 1e-9 {
+	if got := diePower(m, 2, 2.0); math.Abs(got-220.5) > 1e-9 {
 		t.Errorf("above range: %g, want clamp to 220.5", got)
 	}
 }
@@ -126,7 +127,7 @@ func TestLoadsConservePower(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Loads(%v): %v", tc.active, err)
 		}
-		want := m.DiePower(len(tc.active), tc.io)
+		want := diePower(m, len(tc.active), tc.io)
 		if got := TotalPower(loads); math.Abs(got-want) > 1e-6 {
 			t.Errorf("active=%v io=%g: loads sum %g, want %g", tc.active, tc.io, got, want)
 		}
@@ -148,8 +149,15 @@ func TestLoadsActiveBankGetsThePower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bank7, _ := fp.BankArrayRect(7)
-	bank0, _ := fp.BankArrayRect(0)
+	var bank7, bank0 geom.Rect
+	for _, bl := range fp.KindBlocks(floorplan.BankArray) {
+		switch bl.Bank {
+		case 7:
+			bank7 = bl.Rect
+		case 0:
+			bank0 = bl.Rect
+		}
+	}
 	var p7, p0 float64
 	for _, l := range loads {
 		if l.Rect == bank7 {
@@ -176,9 +184,9 @@ func TestLoadsRejectsBadBank(t *testing.T) {
 
 func TestWideIOBelowHMCPower(t *testing.T) {
 	w, h, d := WideIOPower(), HMCPower(), StackedDDR3Power()
-	if !(w.DiePower(2, 1) < d.DiePower(2, 1) && d.DiePower(2, 1) < h.DiePower(2, 1)) {
+	if !(diePower(w, 2, 1) < diePower(d, 2, 1) && diePower(d, 2, 1) < diePower(h, 2, 1)) {
 		t.Errorf("power ordering WideIO < DDR3 < HMC violated: %g %g %g",
-			w.DiePower(2, 1), d.DiePower(2, 1), h.DiePower(2, 1))
+			diePower(w, 2, 1), diePower(d, 2, 1), diePower(h, 2, 1))
 	}
 }
 
@@ -192,7 +200,7 @@ func TestHMCLoadsWithoutColumnPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Loads: %v", err)
 	}
-	want := m.DiePower(2, 1.0)
+	want := diePower(m, 2, 1.0)
 	if got := TotalPower(loads); math.Abs(got-want) > 1e-6 {
 		t.Errorf("loads sum %g, want %g", got, want)
 	}
@@ -242,4 +250,21 @@ func TestLogicModelValidate(t *testing.T) {
 	if err := neg.Validate(); err == nil {
 		t.Error("negative power: want error")
 	}
+}
+
+// diePower returns the total power of one die with nActive active banks at
+// the given I/O activity: standby + n·BankPower + V(io). The I/O component
+// is bank-count independent (a die's I/O runs at the stated activity
+// regardless of how many banks feed it). It is the closed form the
+// distributed Loads must sum to.
+func diePower(m *DRAMModel, nActive int, io float64) float64 {
+	act, idle := m.interp(io)
+	if nActive <= 0 {
+		return m.Scale * idle
+	}
+	v := (act - idle) - m.BankPower*float64(m.RefBanks)
+	if v < 0 {
+		v = 0
+	}
+	return m.Scale * (idle + m.BankPower*float64(nActive) + v)
 }

@@ -2,7 +2,6 @@ package rmesh
 
 import (
 	"fmt"
-	"sync"
 
 	"pdn3d/internal/geom"
 	"pdn3d/internal/obs"
@@ -46,12 +45,6 @@ type Model struct {
 	// stampBuf is the reusable raw stamp stream (one value per stamp in
 	// stamping order); Restamp refills it in place.
 	stampBuf []float64
-
-	// permMatrix is the RCM-reordered matrix, materialized lazily on the
-	// first reordering-aware solve (cg-amg) and kept in sync by restamp.
-	// permMu serializes the first materialization across goroutines.
-	permMatrix *sparse.CSR
-	permMu     sync.Mutex
 
 	// solvers caches one Solver per (method, workers) so per-matrix setup
 	// (IC(0) or dense factorization) happens exactly once per model, even

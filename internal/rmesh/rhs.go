@@ -6,7 +6,6 @@ import (
 
 	"pdn3d/internal/powermap"
 	"pdn3d/internal/solve"
-	"pdn3d/internal/sparse"
 )
 
 // BaseRHS returns the right-hand side of the folded nodal system with no
@@ -64,10 +63,6 @@ func addLoads(rhs []float64, l *Layer, loads []powermap.Load, vdd float64) error
 // in opt, building it on first use. Construction is deduplicated: when many
 // goroutines request the same (method, workers) pair concurrently, exactly
 // one factorization runs and the rest share it.
-//
-// Reordering-aware methods (cg-amg) are built on the RCM-reordered matrix
-// and wrapped so callers see the original node ordering: right-hand sides
-// and warm-start guesses in, voltages out — all in mesh numbering.
 func (m *Model) Solver(opt solve.Options) (solve.Solver, error) {
 	method := opt.Method
 	if method == "" {
@@ -77,33 +72,9 @@ func (m *Model) Solver(opt solve.Options) (solve.Solver, error) {
 		opt.Obs = m.obs // an instrumented model instruments its solvers
 	}
 	s, _, err := m.solvers.Do(method+"/"+strconv.Itoa(opt.Workers), func() (solve.Solver, error) {
-		if solve.UsesReordering(method) {
-			inner, err := solve.New(m.reorderedMatrix(), opt)
-			if err != nil {
-				return nil, err
-			}
-			return solve.Reordered(inner, m.topo.Perm()), nil
-		}
 		return solve.New(m.Matrix, opt)
 	})
 	return s, err
-}
-
-// reorderedMatrix materializes the RCM-reordered conductance matrix on
-// first use by scattering the current stamp stream through the topology's
-// permuted pattern (computing that pattern if this is the topology's
-// first reordering-aware use). Later restamps keep it in sync (see
-// restamp).
-func (m *Model) reorderedMatrix() *sparse.CSR {
-	m.permMu.Lock()
-	defer m.permMu.Unlock()
-	if m.permMatrix == nil {
-		_, pp := m.topo.reordering(m.obs)
-		pm := pp.NewCSR()
-		pp.Scatter(pm.Val, m.stampBuf)
-		m.permMatrix = pm
-	}
-	return m.permMatrix
 }
 
 // Solve runs the selected solver on the assembled system and returns node
@@ -127,8 +98,8 @@ func (m *Model) IRDrop(v []float64) []float64 {
 	return out
 }
 
-// LayerMaxIR returns the maximum IR drop over one layer's nodes.
-func (m *Model) LayerMaxIR(ir []float64, l *Layer) float64 {
+// layerMaxIR returns the maximum IR drop over one layer's nodes.
+func (m *Model) layerMaxIR(ir []float64, l *Layer) float64 {
 	var mx float64
 	for n := l.Offset; n < l.Offset+l.Grid.N(); n++ {
 		if ir[n] > mx {
@@ -145,7 +116,7 @@ func (m *Model) DieMaxIR(ir []float64, d int) float64 {
 		if l.Die != d {
 			continue
 		}
-		if v := m.LayerMaxIR(ir, l); v > mx {
+		if v := m.layerMaxIR(ir, l); v > mx {
 			mx = v
 		}
 	}

@@ -12,7 +12,6 @@ package rmesh
 
 import (
 	"fmt"
-	"sync"
 
 	"pdn3d/internal/obs"
 	"pdn3d/internal/pdn"
@@ -41,35 +40,6 @@ type Topology struct {
 	layers    []*Layer
 	dramLoad  []int // layer index of each DRAM die's load layer
 	logicLoad int   // layer index of the logic load layer, -1 off-chip
-	// perm is the RCM (reverse Cuthill-McKee) ordering of the mesh graph,
-	// perm[new] = old. permPattern is the pattern permuted by it: the same
-	// raw stamp stream scatters into the bandwidth-reduced matrix that
-	// reordering-aware solvers (cg-amg) consume, so a restamp refreshes
-	// both matrices from one stream. Both are computed under reorder on
-	// the first reordering-aware use, so builds that only ever meet
-	// natural-order solvers (cg-ic0) never pay for them.
-	reorder     sync.Once
-	perm        []int32
-	permPattern *sparse.Pattern
-}
-
-// Perm returns a copy of the topology's RCM ordering (perm[new] = old),
-// computing it on first use.
-func (t *Topology) Perm() []int32 {
-	perm, _ := t.reordering(nil)
-	return append([]int32(nil), perm...)
-}
-
-// reordering returns the RCM ordering and the pattern permuted by it,
-// computing both exactly once per topology; the first caller's registry
-// books the work under "rmesh.reorder_time".
-func (t *Topology) reordering(reg *obs.Registry) ([]int32, *sparse.Pattern) {
-	t.reorder.Do(func() {
-		defer reg.Timer("rmesh.reorder_time").Start()()
-		perm := t.pattern.Permutation()
-		t.perm, t.permPattern = perm, t.pattern.Permute(perm)
-	})
-	return t.perm, t.permPattern
 }
 
 // Key returns the topology's speckey.Topology fingerprint.
@@ -182,14 +152,6 @@ func (m *Model) restamp() error {
 	}
 	m.stampBuf = rec.vals
 	m.topo.pattern.Scatter(m.Matrix.Val, rec.vals)
-	// The reordered matrix, if a reordering-aware solver materialized it,
-	// replays the same stream through the permuted pattern. Restamp is
-	// documented as never concurrent with Solve, so the unlocked write is
-	// safe; reorderedMatrix's lock only serializes concurrent first builds.
-	if m.permMatrix != nil {
-		_, pp := m.topo.reordering(m.obs)
-		pp.Scatter(m.permMatrix.Val, rec.vals)
-	}
 	m.solvers.Reset()
 	m.obs.Counter("rmesh.restamps").Add(1)
 	return nil

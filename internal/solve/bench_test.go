@@ -50,21 +50,15 @@ func BenchmarkCG_Jacobi(b *testing.B) { benchCG(b, MethodCGJacobi) }
 
 func BenchmarkCG_IC0(b *testing.B) { benchCG(b, MethodCGIC0) }
 
-// BenchmarkCG_AMG tracks the multigrid-preconditioned path. Its
-// iters/solve metric feeds BENCH_solver.json and the CI iteration guard:
-// AMG's near-size-independent iteration counts versus cg-ic0's growth are
-// the committed evidence for the preconditioner's payoff at scale.
-func BenchmarkCG_AMG(b *testing.B) { benchCG(b, MethodCGAMG) }
-
-// BenchmarkCG_AMG_Recorded is BenchmarkCG_AMG with the flight recorder
+// BenchmarkCG_IC0_Recorded is BenchmarkCG_IC0 with the flight recorder
 // attached. The spread between the two is the recorder's overhead; the
 // budget is ≤2% time and ≤8 allocs/op versus the unrecorded run.
-func BenchmarkCG_AMG_Recorded(b *testing.B) {
+func BenchmarkCG_IC0_Recorded(b *testing.B) {
 	buf := obs.NewSolveBuffer(obs.DefaultSolveBufferCap)
 	for _, sz := range benchSizes {
 		b.Run(sz.name, func(b *testing.B) {
 			a := grid2D(sz.nx, sz.ny)
-			s, err := New(a, Options{Method: MethodCGAMG, Workers: 1})
+			s, err := New(a, Options{Method: MethodCGIC0, Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -84,23 +78,6 @@ func BenchmarkCG_AMG_Recorded(b *testing.B) {
 				iters = st.Iterations
 			}
 			b.ReportMetric(float64(iters), "iters/solve")
-		})
-	}
-}
-
-// BenchmarkAMGSetup isolates the hierarchy build (aggregation + Galerkin
-// products + coarse factorization) the Solver interface amortizes.
-func BenchmarkAMGSetup(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(sz.name, func(b *testing.B) {
-			a := grid2D(sz.nx, sz.ny)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := NewAMG(a); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

@@ -1,6 +1,6 @@
 // Package solve provides the linear solvers behind the R-Mesh IR-drop
 // engine. Every method lives behind the Solver interface and is selected
-// through a registry (see solver.go): conjugate gradients with Jacobi or
+// by name in New (see solver.go): conjugate gradients with Jacobi or
 // IC(0) preconditioning for the large sparse SPD conductance systems (the
 // production paths, standing in for the paper's HSPICE runs), and a dense
 // Cholesky factorization used as the golden reference on small systems
@@ -60,7 +60,7 @@ type CGStats struct {
 	// actually ran, and whether IC(0) fell back to Jacobi at setup), the
 	// system dimension, the iteration count, final relative residual,
 	// convergence flag and termination class. The CG core fills the
-	// iteration story; the registry solver stamps the identity.
+	// iteration story; the solver built by New stamps the identity.
 	obs.SolveOutcome
 	// Warm reports that the solve started from a caller-supplied guess
 	// (CGOptions.X0) rather than zero.

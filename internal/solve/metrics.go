@@ -44,7 +44,7 @@ func newSolverMetrics(r *obs.Registry, method string) solverMetrics {
 }
 
 // record books one finished solve from its stats — the only place the
-// per-solve registry metrics are observed; every registry solver calls
+// per-solve registry metrics are observed; every solver New builds calls
 // it once at the end of Solve, on every path. The residual gauge holds
 // the maximum over all solves — order-independent, so deterministic
 // under concurrency.
@@ -61,7 +61,7 @@ func (m solverMetrics) record(st CGStats) {
 	}
 }
 
-// timedPre times every preconditioner application. Factories only wrap
+// timedPre times every preconditioner application. New only wraps
 // when a registry is present, so uninstrumented solves skip the layer.
 type timedPre struct {
 	pre Preconditioner

@@ -9,7 +9,7 @@ import (
 	"pdn3d/internal/obs"
 )
 
-// TestSolveOutcomeSingleSource: a registry solver reports each solve once,
+// TestSolveOutcomeSingleSource: every solver New builds reports each solve once,
 // in the CGStats it returns, and the trace-span annotation, the committed
 // flight record and the solve.<method>.* registry metrics are each derived
 // from those stats. For every built-in method and every exit class the
@@ -37,10 +37,10 @@ func TestSolveOutcomeSingleSource(t *testing.T) {
 		}
 	}
 	precond := map[string]string{
-		MethodCGAMG: precondAMG, MethodCGIC0: precondIC0, MethodCGJacobi: precondJacobi, MethodCholesky: "",
+		MethodCGIC0: precondIC0, MethodCGJacobi: precondJacobi, MethodCholesky: "",
 	}
 
-	for _, method := range []string{MethodCGAMG, MethodCGIC0, MethodCGJacobi, MethodCholesky} {
+	for _, method := range Methods() {
 		direct := method == MethodCholesky
 		// A direct solve ignores the iteration budget and the warm guess,
 		// and polls Cancel once, before the factorized solve.

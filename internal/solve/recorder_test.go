@@ -183,7 +183,7 @@ func TestRecorderCholesky(t *testing.T) {
 func TestRecorderShapeWorkerIndependent(t *testing.T) {
 	run := func(workers int) obs.SolveRecord {
 		a := grid2D(24, 24)
-		s, err := New(a, Options{Method: MethodCGAMG, Workers: workers})
+		s, err := New(a, Options{Method: MethodCGIC0, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

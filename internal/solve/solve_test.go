@@ -36,7 +36,7 @@ func randomSPD(n int, rng *rand.Rand) *sparse.CSR {
 	return b.Compress()
 }
 
-// solveOnce builds the registry solver for method on a and runs one
+// solveOnce builds the solver for method on a and runs one
 // solve; a setup failure (a degenerate diagonal) is returned as the solve
 // error.
 func solveOnce(method string, a *sparse.CSR, b []float64, opt CGOptions) ([]float64, CGStats, error) {
@@ -379,5 +379,93 @@ func TestCholeskyCancel(t *testing.T) {
 	}
 	if _, _, err := s.Solve(b, CGOptions{}); err != nil {
 		t.Fatalf("uncanceled solve failed: %v", err)
+	}
+}
+
+// degenerateMatrix returns a 6-node path system where node idx carries
+// the given diagonal value (bypassing Builder's zero-skip via direct CSR
+// construction when needed).
+func degenerateMatrix(idx int, diag float64) *sparse.CSR {
+	b := sparse.NewBuilder(6)
+	for i := 0; i < 5; i++ {
+		b.AddConductance(i, i+1, 1)
+	}
+	b.AddToGround(0, 2)
+	m := b.Compress()
+	for q := m.RowPtr[idx]; q < m.RowPtr[idx+1]; q++ {
+		if int(m.Col[q]) == idx {
+			m.Val[q] = diag
+		}
+	}
+	return m
+}
+
+// A zero, negative, or NaN diagonal must yield the typed error naming the
+// node — never a silent 1/0 or 1/NaN that turns into NaN voltages. The
+// NaN case is the regression: the pre-fix check (d <= 0) let NaN through.
+func TestDegenerateDiagonalTypedError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		diag float64
+	}{
+		{"zero", 0},
+		{"negative", -3},
+		{"nan", math.NaN()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const node = 3
+			_, err := NewJacobi(degenerateMatrix(node, tc.diag))
+			if err == nil {
+				t.Fatal("degenerate diagonal accepted")
+			}
+			var dde *DegenerateDiagonalError
+			if !errors.As(err, &dde) {
+				t.Fatalf("want *DegenerateDiagonalError, got %v", err)
+			}
+			if dde.Node != node {
+				t.Errorf("error names node %d, want %d", dde.Node, node)
+			}
+		})
+	}
+}
+
+// A matrix with a structurally missing diagonal entry (CSR.Diag reports
+// 0) must be rejected the same way.
+func TestMissingDiagonalTypedError(t *testing.T) {
+	b := sparse.NewBuilder(3)
+	b.Add(0, 0, 2)
+	b.Add(2, 2, 2)
+	b.Add(0, 2, -1)
+	b.Add(2, 0, -1)
+	// Node 1 never receives a diagonal stamp: a floating node, as an
+	// imported SPICE deck with a current source into an unconnected node
+	// would produce.
+	a := b.Compress()
+	_, err := NewJacobi(a)
+	var dde *DegenerateDiagonalError
+	if !errors.As(err, &dde) {
+		t.Fatalf("want *DegenerateDiagonalError, got %v", err)
+	}
+	if dde.Node != 1 || dde.Value != 0 {
+		t.Errorf("error = %+v, want node 1 value 0", dde)
+	}
+}
+
+// The cg-ic0 solver must report which preconditioner actually ran.
+func TestPrecondReportedInStats(t *testing.T) {
+	a := grid2D(12, 12)
+	b := make([]float64, a.N)
+	b[7] = 1
+
+	s, err := New(a, Options{Method: MethodCGIC0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := s.Solve(b, CGOptions{Tol: 1e-10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Precond != "ic0" || st.Fallback {
+		t.Errorf("healthy cg-ic0 stats = %+v, want precond ic0 without fallback", st)
 	}
 }

@@ -2,8 +2,8 @@ package solve
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 
 	"pdn3d/internal/obs"
 	"pdn3d/internal/sparse"
@@ -12,21 +12,20 @@ import (
 // Solver solves A·x = b for one fixed matrix bound at construction, and is
 // reusable — and safe for concurrent use — across right-hand sides. Any
 // per-matrix setup (preconditioner factorization, dense factorization)
-// happens once in the factory, which is what makes LUT builds and
+// happens once in New, which is what makes LUT builds and
 // design-space sweeps with thousands of right-hand sides tractable.
 type Solver interface {
-	// Method returns the registry name the solver was built under.
+	// Method returns the method name the solver was built under.
 	Method() string
 	// Solve returns x with A·x = b, with per-call tuning for the
 	// iterative methods (direct methods ignore opt).
 	Solve(b []float64, opt CGOptions) ([]float64, CGStats, error)
 }
 
-// Options selects and tunes a solver built through the registry.
+// Options selects and tunes a solver built by New.
 type Options struct {
-	// Method is the registry name: "cg-ic0", "cg-jacobi", or "cholesky"
-	// (plus anything registered by tests or future backends). Empty
-	// selects DefaultMethod.
+	// Method is one of Methods(): "cg-ic0", "cg-jacobi", or "cholesky".
+	// Empty selects DefaultMethod.
 	Method string
 	// Workers bounds the worker pool the BLAS-1/SpMV kernels shard
 	// across on large systems. <= 0 selects GOMAXPROCS. Results are
@@ -42,16 +41,12 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// Method names built in to the registry.
+// Method names accepted by New.
 const (
 	// MethodCGIC0 is IC(0)-preconditioned CG — the production default.
 	MethodCGIC0 = "cg-ic0"
 	// MethodCGJacobi is Jacobi-preconditioned CG — the robust fallback.
 	MethodCGJacobi = "cg-jacobi"
-	// MethodCGAMG is CG preconditioned by an aggregation-based algebraic
-	// multigrid V-cycle (see amg.go). Callers that hold an rmesh model
-	// additionally run it on the RCM-reordered system.
-	MethodCGAMG = "cg-amg"
 	// MethodCholesky is the dense exact factorization — the golden
 	// reference for small systems (O(n³)).
 	MethodCholesky = "cholesky"
@@ -61,44 +56,22 @@ const (
 const (
 	precondIC0    = "ic0"
 	precondJacobi = "jacobi"
-	precondAMG    = "amg"
 )
-
-// UsesReordering reports whether a method benefits from solving the
-// RCM-reordered system. Only cg-amg opts in: the existing methods keep
-// their byte-pinned outputs, and reordering the system changes the
-// floating-point trajectory of every iterative solve.
-func UsesReordering(method string) bool { return method == MethodCGAMG }
 
 // DefaultMethod is used when Options.Method is empty.
 const DefaultMethod = MethodCGIC0
 
-// Factory builds a Solver for one matrix.
-type Factory func(a *sparse.CSR, opt Options) (Solver, error)
+// Methods lists the method names New accepts, sorted.
+func Methods() []string { return []string{MethodCGIC0, MethodCGJacobi, MethodCholesky} }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
-
-// Register adds a solver factory under the given method name, replacing
-// any previous registration.
-func Register(method string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[method] = f
-}
-
-// Methods lists the registered method names, sorted.
-func Methods() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for m := range registry {
-		out = append(out, m)
+// CheckMethod returns an error naming the valid methods unless method is
+// one New accepts (the empty string selects DefaultMethod). Commands call
+// it on their -solver flag so a typo fails at startup, not on every solve.
+func CheckMethod(method string) error {
+	if method == "" || slices.Contains(Methods(), method) {
+		return nil
 	}
-	sort.Strings(out)
-	return out
+	return fmt.Errorf("solve: unknown method %q (valid: %s)", method, strings.Join(Methods(), ", "))
 }
 
 // New builds a solver for the matrix using the method named in opt
@@ -108,34 +81,25 @@ func New(a *sparse.CSR, opt Options) (Solver, error) {
 	if method == "" {
 		method = DefaultMethod
 	}
-	regMu.RLock()
-	f, ok := registry[method]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("solve: unknown method %q (registered: %v)", method, Methods())
+	if err := CheckMethod(method); err != nil {
+		return nil, err
 	}
-	return f(a, opt)
-}
-
-func init() {
-	Register(MethodCGJacobi, func(a *sparse.CSR, opt Options) (Solver, error) {
-		m := newSolverMetrics(opt.Obs, MethodCGJacobi)
-		stop := m.setup.Start()
+	m := newSolverMetrics(opt.Obs, method)
+	stop := m.setup.Start()
+	switch method {
+	case MethodCGJacobi:
 		pre, err := NewJacobi(a)
 		stop()
 		if err != nil {
 			return nil, err
 		}
 		return newCGSolver(MethodCGJacobi, a, pre, opt, m, precondJacobi, false), nil
-	})
-	Register(MethodCGIC0, func(a *sparse.CSR, opt Options) (Solver, error) {
+	case MethodCGIC0:
 		// IC(0) of an SPD matrix can still break down; degrade to Jacobi
 		// scaling. The swap is recorded in
 		// the solve.ic_fallbacks counter and in every CGStats this solver
 		// returns — a silent preconditioner substitution once hid solver
 		// regressions from traces and the diff harness.
-		m := newSolverMetrics(opt.Obs, MethodCGIC0)
-		stop := m.setup.Start()
 		precond, fallback := precondIC0, false
 		var pre Preconditioner
 		ic, err := NewIC(a)
@@ -151,27 +115,14 @@ func init() {
 		}
 		stop()
 		return newCGSolver(MethodCGIC0, a, pre, opt, m, precond, fallback), nil
-	})
-	Register(MethodCGAMG, func(a *sparse.CSR, opt Options) (Solver, error) {
-		m := newSolverMetrics(opt.Obs, MethodCGAMG)
-		stop := m.setup.Start()
-		pre, err := NewAMG(a)
-		stop()
-		if err != nil {
-			return nil, err
-		}
-		return newCGSolver(MethodCGAMG, a, pre, opt, m, precondAMG, false), nil
-	})
-	Register(MethodCholesky, func(a *sparse.CSR, opt Options) (Solver, error) {
-		m := newSolverMetrics(opt.Obs, MethodCholesky)
-		stop := m.setup.Start()
+	default: // MethodCholesky
 		c, err := NewCholesky(a)
 		stop()
 		if err != nil {
 			return nil, err
 		}
 		return &cholSolver{a: a, c: c, k: kernels{workers: opt.Workers}, m: m}, nil
-	})
+	}
 }
 
 // cgSolver is a preconditioned-CG method bound to one matrix. precond

@@ -1,8 +1,10 @@
 package solve
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pdn3d/internal/sparse"
@@ -28,13 +30,31 @@ func grid2D(nx, ny int) *sparse.CSR {
 }
 
 func TestRegistryListsBuiltins(t *testing.T) {
-	have := map[string]bool{}
-	for _, m := range Methods() {
-		have[m] = true
+	want := []string{MethodCGIC0, MethodCGJacobi, MethodCholesky}
+	if got := Methods(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Methods() = %v, want %v", got, want)
 	}
-	for _, want := range []string{MethodCGIC0, MethodCGJacobi, MethodCholesky} {
-		if !have[want] {
-			t.Errorf("method %q not registered (have %v)", want, Methods())
+}
+
+// CheckMethod accepts exactly what New accepts, and its error lists the
+// valid names so a command can print it as the whole diagnostic.
+func TestCheckMethod(t *testing.T) {
+	for _, m := range append(Methods(), "") {
+		if err := CheckMethod(m); err != nil {
+			t.Errorf("CheckMethod(%q) = %v, want nil", m, err)
+		}
+	}
+	for _, m := range []string{"bogus", "CG-IC0", " cg-ic0", "cg-ic0 "} {
+		err := CheckMethod(m)
+		if err == nil {
+			t.Errorf("CheckMethod(%q) accepted an unknown method", m)
+			continue
+		}
+		if !strings.Contains(err.Error(), "cg-ic0, cg-jacobi, cholesky") {
+			t.Errorf("CheckMethod(%q) error %q does not list the valid methods", m, err)
+		}
+		if _, nerr := New(ladder(4, 1, 1), Options{Method: m}); nerr == nil || nerr.Error() != err.Error() {
+			t.Errorf("New with %q: error %v, want %v", m, nerr, err)
 		}
 	}
 }
@@ -55,7 +75,7 @@ func TestNewDefaultsToIC0(t *testing.T) {
 	}
 }
 
-// All registered methods must agree on the same system within the
+// All methods must agree on the same system within the
 // validation tolerance used by internal/irdrop (dense cross-checks pass at
 // <1e-7 V); this is the solver-level half of that guarantee.
 func TestAllMethodsAgree(t *testing.T) {

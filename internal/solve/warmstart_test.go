@@ -123,7 +123,7 @@ func TestWarmStartLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestWarmStartCounter: registry-built CG solvers count warm-started
+// TestWarmStartCounter: CG solvers built by New count warm-started
 // solves under solve.<method>.warm_starts; direct Cholesky ignores X0.
 func TestWarmStartCounter(t *testing.T) {
 	reg := obs.NewRegistry()

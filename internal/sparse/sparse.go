@@ -160,10 +160,6 @@ func (p *Pattern) N() int { return p.n }
 // NNZ returns the number of stored entries after duplicate merging.
 func (p *Pattern) NNZ() int { return len(p.col) }
 
-// Stamps returns the number of raw stamps the pattern was frozen from. A
-// stream passed to Scatter must have exactly this length.
-func (p *Pattern) Stamps() int { return len(p.order) }
-
 // NewCSR returns a CSR matrix over this pattern with a zero value array.
 // The row pointers and column indices are shared with the pattern (and
 // with every other CSR made from it) — callers must treat them as
@@ -175,9 +171,10 @@ func (p *Pattern) NewCSR() *CSR {
 
 // Scatter compresses a raw stamp stream into dst, which must be the value
 // array of a CSR made from this pattern (len == NNZ). raw must contain
-// exactly Stamps() values in the original stamping order. Duplicates are
-// summed in the same order Compress merges them, so the result is
-// bit-identical to rebuilding through a Builder with the same stamps.
+// exactly as many values as the pattern was frozen from, in the original
+// stamping order. Duplicates are summed in the same order Compress merges
+// them, so the result is bit-identical to rebuilding through a Builder
+// with the same stamps.
 func (p *Pattern) Scatter(dst, raw []float64) {
 	if len(raw) != len(p.order) {
 		panic(fmt.Sprintf("sparse: Scatter got %d raw stamps, pattern has %d", len(raw), len(p.order)))
@@ -209,14 +206,14 @@ func (m *CSR) MulVec(y, x []float64) {
 	if len(x) != m.N || len(y) != m.N {
 		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: n=%d len(x)=%d len(y)=%d", m.N, len(x), len(y)))
 	}
-	m.MulVecRange(y, x, 0, m.N)
+	m.mulVecRange(y, x, 0, m.N)
 }
 
-// MulVecRange computes y[lo:hi] = (A·x)[lo:hi] — the row slab of a
+// mulVecRange computes y[lo:hi] = (A·x)[lo:hi] — the row slab of a
 // matrix-vector product. Disjoint slabs touch disjoint parts of y, so
 // concurrent calls over a partition of [0, N) are safe; this is the
 // sharding primitive behind MulVecPar.
-func (m *CSR) MulVecRange(y, x []float64, lo, hi int) {
+func (m *CSR) mulVecRange(y, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		var s float64
 		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
@@ -235,7 +232,7 @@ func (m *CSR) MulVecPar(y, x []float64, workers, block int) {
 		panic(fmt.Sprintf("sparse: MulVecPar dimension mismatch: n=%d len(x)=%d len(y)=%d", m.N, len(x), len(y)))
 	}
 	par.Blocks(workers, m.N, block, func(_, lo, hi int) {
-		m.MulVecRange(y, x, lo, hi)
+		m.mulVecRange(y, x, lo, hi)
 	})
 }
 
@@ -297,21 +294,6 @@ func StructureEqual(a, b *CSR) bool {
 	for i := range a.Col {
 		if a.Col[i] != b.Col[i] {
 			return false
-		}
-	}
-	return true
-}
-
-// IsSymmetric reports whether the matrix is numerically symmetric within
-// tol, comparing every stored entry against its transpose partner.
-func (m *CSR) IsSymmetric(tol float64) bool {
-	for i := 0; i < m.N; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			j := int(m.Col[p])
-			d := m.Val[p] - m.At(j, i)
-			if d > tol || d < -tol {
-				return false
-			}
 		}
 	}
 	return true

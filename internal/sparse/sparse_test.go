@@ -41,7 +41,7 @@ func TestAddConductanceStamp(t *testing.T) {
 			}
 		}
 	}
-	if !m.IsSymmetric(0) {
+	if !isSymmetric(m, 0) {
 		t.Error("conductance stamp must be symmetric")
 	}
 }
@@ -141,7 +141,7 @@ func TestConductanceAssemblyProperties(t *testing.T) {
 			}
 		}
 		m := b.Compress()
-		if !m.IsSymmetric(1e-12) {
+		if !isSymmetric(m, 1e-12) {
 			return false
 		}
 		for i := 0; i < n; i++ {
@@ -290,13 +290,14 @@ func TestPatternScatterOverwrites(t *testing.T) {
 	}
 }
 
-// Stamps/N/NNZ describe the frozen stream; Scatter validates both lengths.
+// N/NNZ and the stamp count describe the frozen stream; Scatter validates
+// both lengths.
 func TestPatternScatterPanicsOnMismatch(t *testing.T) {
 	b := NewBuilder(4)
 	b.AddConductance(0, 1, 1)
 	p := b.Freeze()
-	if p.N() != 4 || p.Stamps() != 4 || p.NNZ() != 4 {
-		t.Fatalf("pattern shape n=%d stamps=%d nnz=%d, want 4/4/4", p.N(), p.Stamps(), p.NNZ())
+	if p.N() != 4 || len(p.order) != 4 || p.NNZ() != 4 {
+		t.Fatalf("pattern shape n=%d stamps=%d nnz=%d, want 4/4/4", p.N(), len(p.order), p.NNZ())
 	}
 	m := p.NewCSR()
 	mustPanic := func(name string, f func()) {
@@ -366,4 +367,19 @@ func TestStructureEqual(t *testing.T) {
 	if StructureEqual(a, smaller.Compress()) {
 		t.Error("dimension mismatch not detected")
 	}
+}
+
+// isSymmetric reports whether the matrix is numerically symmetric within
+// tol, comparing every stored entry against its transpose partner.
+func isSymmetric(m *CSR, tol float64) bool {
+	for i := 0; i < m.N; i++ {
+		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+			j := int(m.Col[p])
+			d := m.Val[p] - m.At(j, i)
+			if d > tol || d < -tol {
+				return false
+			}
+		}
+	}
+	return true
 }

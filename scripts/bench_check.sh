@@ -14,9 +14,6 @@
 #     order-of-magnitude blowups (an accidental dense fallback, a
 #     reallocating restamp), not small drifts.
 #
-# Generalizes the former check_amg_iters.sh (cg-amg iterations only) to
-# every benchmark in the snapshot.
-#
 # Usage: scripts/bench_check.sh [snapshot.json]
 #   NSOP_BAND  ns/op tolerance multiplier (default 4.0)
 set -euo pipefail
@@ -30,7 +27,7 @@ NSOP_BAND="${NSOP_BAND:-4.0}"
 # Same packages and pattern as bench_snapshot.sh, so every committed
 # line gets a fresh counterpart.
 out="$(go test ./internal/solve ./internal/rmesh -run '^$' \
-  -bench 'BenchmarkCG_IC0|BenchmarkCG_AMG|BenchmarkAMGSetup|BenchmarkValueSweep|BenchmarkRestamp$|BenchmarkBuildTopology' \
+  -bench 'BenchmarkCG_IC0|BenchmarkValueSweep|BenchmarkRestamp$|BenchmarkBuildTopology' \
   -benchtime 1x)"
 echo "$out"
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Runs the solver-side and serving-side benchmark suites and writes the
-# machine-readable perf snapshots BENCH_solver.json and BENCH_serve.json
-# at the repo root. These are the tracked baselines a perf-sensitive PR
-# refreshes (and CI uploads as artifacts); compare against the committed
-# copies before accepting a regression.
+# Runs the solver-side benchmark suite and the differential harness and
+# writes the machine-readable snapshots BENCH_solver.json (gated by
+# scripts/bench_check.sh) and BENCH_diff.json at the repo root. These are
+# the tracked baselines a perf-sensitive change refreshes (and CI uploads
+# as artifacts); compare against the committed copies before accepting a
+# regression.
 #
 # Usage: scripts/bench_snapshot.sh [benchtime]
 #   benchtime  go test -benchtime value (default 10x; CI smoke uses 1x)
@@ -56,34 +57,16 @@ bench_json() {
 }
 
 bench_json "./internal/solve ./internal/rmesh" \
-  'BenchmarkCG_IC0|BenchmarkCG_AMG|BenchmarkAMGSetup|BenchmarkValueSweep|BenchmarkRestamp$|BenchmarkBuildTopology' \
+  'BenchmarkCG_IC0|BenchmarkValueSweep|BenchmarkRestamp$|BenchmarkBuildTopology' \
   BENCH_solver.json
 
-bench_json "./internal/serve" 'BenchmarkAnalyze' BENCH_serve.json
-
-# pdnlint wall time: the lint suite gates every CI run, so its latency
-# is a tracked perf surface like the solver and serving suites. Build
-# once so the snapshot times analysis, not compilation.
-lint_bin="$(mktemp -d)/pdnlint"
-go build -o "$lint_bin" ./cmd/pdnlint
-lint_out="$(mktemp)"
-lint_status=0
-lint_start=$(date +%s%N)
-"$lint_bin" -json ./... >"$lint_out" || lint_status=$?
-lint_end=$(date +%s%N)
-lint_ms=$(( (lint_end - lint_start) / 1000000 ))
-lint_findings=$(grep -c '"analyzer"' "$lint_out" || true)
-printf '{\n  "target": "pdnlint ./...",\n  "wall_ms": %s,\n  "findings": %s,\n  "exit_status": %s\n}\n' \
-  "$lint_ms" "$lint_findings" "$lint_status" >BENCH_lint.json
-echo "wrote BENCH_lint.json (pdnlint ./... in ${lint_ms} ms, ${lint_findings} findings)"
-
-# Differential-coverage snapshot: how much of the solver registry × corpus
+# Differential-coverage snapshot: how much of the solver method × corpus
 # matrix the differential harness checks and how tightly it agrees
 # (corpus size, per-mesh solver runs, max observed relative error), plus
 # the -convergence section: per-run condition estimates / terminations
 # from the solve flight recorder and the per-family iteration/κ envelope.
 # No timestamps or host data — the numbers move only when the corpus, the
-# solver registry, or solver numerics change (error magnitudes can wiggle
+# solver method set, or solver numerics change (error magnitudes can wiggle
 # at the last digits with the worker count's reduction order).
 go run ./cmd/pdnbench -convergence -out BENCH_diff.json >/dev/null
 echo "wrote BENCH_diff.json ($(go run ./cmd/pdnbench -list | wc -l) corpus entries)"

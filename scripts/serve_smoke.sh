@@ -5,8 +5,9 @@
 # not refused 413, a LUT max_per_die above the design's banks per die
 # or duplicate LUT io_levels not refused 400, a batch item error, a missing
 # X-Trace-Id, an unretrievable trace, malformed Prometheus exposition,
-# or a missing structured-log start event. Finishes with a SIGTERM to
-# check the graceful drain path exits cleanly.
+# or a missing structured-log start event. Before booting, checks that an
+# unknown -solver is refused at startup without binding the address.
+# Finishes with a SIGTERM to check the graceful drain path exits cleanly.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -16,6 +17,23 @@ go build -o "$BIN" ./cmd/pdnserve
 
 ADDR="127.0.0.1:18080"
 LOG="$(mktemp)"
+
+# An unknown -solver fails at startup: non-zero exit naming the valid
+# methods, and nothing ever listens on the address.
+BAD_STATUS=0
+timeout 20 "$BIN" -addr "$ADDR" -solver bogus -log-format=json 2>"$LOG" || BAD_STATUS=$?
+if [ "$BAD_STATUS" = 0 ] || [ "$BAD_STATUS" = 124 ]; then
+  echo "pdnserve -solver bogus: exit status $BAD_STATUS, want a startup failure" >&2
+  exit 1
+fi
+grep -q 'cg-ic0, cg-jacobi, cholesky' "$LOG" || { echo "pdnserve -solver bogus did not list the valid methods:" >&2; cat "$LOG" >&2; exit 1; }
+grep -q '"event":"start"' "$LOG" && { echo "pdnserve -solver bogus logged a start event" >&2; exit 1; }
+if curl -s "http://$ADDR/healthz" >/dev/null 2>&1; then
+  echo "pdnserve -solver bogus left a listener on $ADDR" >&2
+  exit 1
+fi
+echo "ok: unknown -solver -> exit $BAD_STATUS before binding"
+
 # Coarse mesh pitch keeps smoke solves fast; determinism is unaffected.
 "$BIN" -addr "$ADDR" -pitch 0.5 -log-format=json 2>"$LOG" &
 PID=$!
